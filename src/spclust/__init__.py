@@ -33,7 +33,7 @@ from .footprint import (
     normalize,
     update_weight,
 )
-from .fusion import FusedEstimate, covariance_union, fuse, pad_covariance
+from .fusion import covariance_union, fuse, pad_covariance
 from .datasets import (
     LabeledPoint,
     StreamSpec,

@@ -302,7 +302,7 @@ def _write_grid(path: Path, model: SpcModel, labels, config: RunConfig) -> None:
         raise DimensionMismatch("decision grids need a 2-D model")
     bounds = config["grid_bounds"]
     if bounds is None:
-        mus = np.array([s.mu for s in model.snapshot()])
+        mus = np.array([mu for mu, _ in model.factors()])
         lo = mus.min(axis=0)
         hi = mus.max(axis=0)
         pad = 0.1 * np.maximum(hi - lo, 1.0)

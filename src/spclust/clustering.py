@@ -5,6 +5,9 @@ distance; stream points (or grid points) are then labeled by their
 nearest structure under the squared-typicality decision distance. Noise
 structures keep unique singleton cluster ids so that every structure, and
 therefore every point, always has a label.
+
+Both steps read the model's cached means and Cholesky factors through
+SpcModel.factors(); nothing is copied or factored again.
 """
 
 from collections import deque
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SpcModel
-from .typicality import Structure, _typicality_of_dsq, _typicality_of_dsq_many
+from .errors import DimensionMismatch
+from .typicality import _typicality_of_dsq, _typicality_of_dsq_many
 from . import linalg
 
 
@@ -84,31 +88,30 @@ def labels_from_distances(d: np.ndarray, epsilon: float, min_pts: int) -> list[i
 
 def get_clustering(model: SpcModel) -> ClusterLabels:
     """Cluster the model's structures with DBSCAN over the structure distance."""
-    structures = model.snapshot()
-    if not structures:
+    factors = model.factors()
+    if not factors:
         raise ValueError("model holds no structures to cluster")
     params = model.params
     ids = model.ids()
-    d = pairwise_structure_distances(structures, params.m)
+    d = pairwise_structure_distances(factors, params.m)
     labels = labels_from_distances(d, params.epsilon, params.min_pts)
     return ClusterLabels(labels=dict(zip(ids, labels)))
 
 
-def pairwise_structure_distances(structures, m: float) -> np.ndarray:
-    """Symmetric structure-distance matrix, factoring each spread once.
+def pairwise_structure_distances(factors, m: float) -> np.ndarray:
+    """Symmetric structure-distance matrix from (mean, lower Cholesky factor) pairs.
 
-    Same arithmetic as structure_distance pair by pair; only the Cholesky
-    factor of each structure is reused across the row.
+    Same arithmetic as structure_distance pair by pair; each structure's
+    factor is reused across its row.
     """
-    n = len(structures)
-    chols = [linalg.cholesky(s.sigma) for s in structures]
+    n = len(factors)
     d_sq = np.zeros((n, n))
-    for i, s in enumerate(structures):
-        for j in range(n):
+    for i, (mu_i, chol_i) in enumerate(factors):
+        for j, (mu_j, _) in enumerate(factors):
             if i == j:
                 continue
-            delta = structures[j].mu - s.mu
-            d_sq[i, j] = linalg.solve_norm_sq(chols[i], delta) if np.any(delta) else 0.0
+            delta = mu_j - mu_i
+            d_sq[i, j] = linalg.solve_norm_sq(chol_i, delta) if np.any(delta) else 0.0
     dist = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -130,22 +133,28 @@ def assign_points(model: SpcModel, labels: ClusterLabels, points) -> list[int]:
 
 
 def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
-    """Vectorized assignment returning (cluster_ids, structure_ids, distances)."""
-    structures = model.snapshot()
+    """Vectorized assignment returning (cluster_ids, structure_ids, distances).
+
+    points is an (n, dim) array; a 1-D array is read as n scalars only
+    when the model itself is one-dimensional.
+    """
+    factors = model.factors()
     ids = model.ids()
-    if not structures:
+    if not factors:
         raise ValueError("model holds no structures")
     for ident in ids:
         if ident not in labels.labels:
             raise KeyError(f"labels missing structure {ident}")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
+    if pts.ndim == 1 and model.dim == 1:
         pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != model.dim:
+        raise DimensionMismatch(f"expected points of dim {model.dim}, got shape {pts.shape}")
     m = model.params.m
 
-    dist = np.empty((len(structures), pts.shape[0]))
-    for row, s in enumerate(structures):
-        dist[row] = _decision_distance_many(s, pts, m)
+    dist = np.empty((len(factors), pts.shape[0]))
+    for row, (mu, chol) in enumerate(factors):
+        dist[row] = _decision_distance_many(mu, chol, pts, m)
     # argmin returns the first minimum, and rows are in ascending-id order,
     # so ties resolve to the lowest identifier.
     nearest = np.argmin(dist, axis=0)
@@ -158,13 +167,14 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     )
 
 
-def _decision_distance_many(s: Structure, pts: np.ndarray, m: float) -> np.ndarray:
-    deltas = pts - s.mu
+def _decision_distance_many(mu: np.ndarray, chol: np.ndarray, pts: np.ndarray,
+                            m: float) -> np.ndarray:
+    deltas = pts - mu
     zero_rows = ~np.any(deltas, axis=1)
     if zero_rows.all():
         d_sq = np.zeros(pts.shape[0])
     else:
-        d_sq = linalg.solve_norm_sq_many(linalg.cholesky(s.sigma), deltas)
+        d_sq = linalg.solve_norm_sq_many(chol, deltas)
         d_sq[zero_rows] = 0.0
     u = _typicality_of_dsq_many(d_sq, m)
     return 1.0 - u * u

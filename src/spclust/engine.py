@@ -9,7 +9,10 @@ store is still over budget the two most similar structures are merged.
 
 Structure means and spreads change only through merges, never per point,
 so per-structure Cholesky factors and pairwise distances are cached and
-invalidated only when a merge or deletion touches them.
+invalidated only when a merge or deletion touches them. An _Entry is the
+one live form of a structure: merges fuse the entries' normalized
+(mean, spread) pairs directly, and the offline step reads the cached
+means and factors through factors() instead of copying and refactoring.
 """
 
 import math
@@ -19,23 +22,8 @@ import numpy as np
 
 from . import fusion, linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, UnknownIdentifier
-from .footprint import DecayRates, Footprint, decay_norm
+from .footprint import DecayRates, decay_norm
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
-
-# Dimension at which the singleton-absorption fast path in fusion pays for
-# itself; below this the dense union is already cheap.
-_FAST_UNION_MIN_DIM = 32
-
-_UNIT_SPREADS: dict[int, np.ndarray] = {}
-
-
-def _unit_spread(dim: int) -> np.ndarray:
-    cached = _UNIT_SPREADS.get(dim)
-    if cached is None:
-        cached = np.eye(dim)
-        cached.setflags(write=False)
-        _UNIT_SPREADS[dim] = cached
-    return cached
 
 
 @dataclass(frozen=True)
@@ -99,32 +87,40 @@ class Diagnostics:
 
 
 class _Entry:
-    """One live structure plus the caches keyed to its immutable mean/spread."""
+    """One live structure plus the caches keyed to its immutable mean/spread.
+
+    mu and chol are read-only: factors() hands them out without copying.
+    A unit singleton's spread is the shared identity, which is also its
+    factor.
+    """
 
     __slots__ = ("id", "mean_acc", "sigma", "weight_acc", "age", "weight_age",
                  "mu", "chol", "weight", "unit_cov")
 
-    def __init__(self, ident, mean_acc, sigma, weight_acc, age, weight_age,
-                 gamma, unit_cov=False):
+    def __init__(self, ident, mean_acc, mu, sigma, weight_acc, age, weight_age):
         self.id = ident
         self.mean_acc = mean_acc
         self.sigma = sigma
         self.weight_acc = weight_acc
         self.age = age
         self.weight_age = weight_age
-        self.mu = mean_acc / decay_norm(age, gamma)
-        self.unit_cov = unit_cov
-        if unit_cov:
-            self.chol = None
+        self.mu = mu
+        mu.setflags(write=False)
+        self.unit_cov = sigma is fusion.unit_spread(mu.shape[0])
+        if self.unit_cov:
+            self.chol = sigma
         else:
             try:
                 self.chol = linalg.cholesky(sigma)
+                self.chol.setflags(write=False)
             except NotPositiveDefinite:
                 self.chol = None  # degenerate spread: treat as zero reach
         self.weight = 1.0
 
     def refresh_weight(self, beta: float) -> None:
-        self.weight = self.weight_acc / decay_norm(self.weight_age, beta)
+        # a damped average of typicalities is at most one; the recursive
+        # sum and the closed-form normalizer can round one ulp apart
+        self.weight = min(1.0, self.weight_acc / decay_norm(self.weight_age, beta))
 
     def dsq(self, point: np.ndarray) -> float:
         """Squared Mahalanobis distance of a point under this structure."""
@@ -147,22 +143,12 @@ class _Entry:
             return out
         return linalg.solve_norm_sq_many(self.chol, deltas)
 
-    def footprint(self, rates: DecayRates) -> Footprint:
-        g = decay_norm(self.age, rates.gamma)
-        return Footprint(
-            mean_acc=self.mean_acc,
-            scatter_acc=self.sigma * g,
-            weight_acc=self.weight_acc,
-            age=self.age,
-            weight_age=self.weight_age,
-        )
-
 
 class SpcModel:
     """Mutable model state: ordered structure store plus the stream clock.
 
     Single writer: update and merge_structures need exclusive access.
-    snapshot is read-only and safe to run between updates.
+    snapshot and factors are read-only and safe to run between updates.
     """
 
     def __init__(self, params: SpcParams):
@@ -178,10 +164,6 @@ class SpcModel:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def structure_count(self) -> int:
-        return len(self._entries)
-
     def ids(self) -> list[int]:
         return [e.id for e in self._entries]
 
@@ -191,6 +173,20 @@ class SpcModel:
             Structure(mu=e.mu.copy(), sigma=e.sigma.copy(), weight=e.weight, age=e.age)
             for e in self._entries
         ]
+
+    def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(mean, lower Cholesky factor) of every structure, ordered by identifier.
+
+        The engine's own cached arrays, marked read-only, not copies; they
+        stay valid after later updates, which replace entries rather than
+        mutate them. Raises NotPositiveDefinite if a spread has no factor.
+        """
+        out = []
+        for e in self._entries:
+            if e.chol is None:
+                raise NotPositiveDefinite(f"spread of structure {e.id} is not positive-definite")
+            out.append((e.mu, e.chol))
+        return out
 
     def update(self, x) -> None:
         """Consume one stream point."""
@@ -232,8 +228,8 @@ class SpcModel:
     def _add_singleton(self, x: np.ndarray) -> None:
         # shared read-only identity: nothing downstream mutates a spread
         # in place, and snapshot() hands out copies
-        entry = _Entry(self._next_id, x.copy(), _unit_spread(x.shape[0]), 1.0,
-                       1, 1, self.params.gamma, unit_cov=True)
+        x = x.copy()
+        entry = _Entry(self._next_id, x, x, fusion.unit_spread(x.shape[0]), 1.0, 1, 1)
         self._next_id += 1
         self._register(entry)
 
@@ -259,7 +255,6 @@ class SpcModel:
             self._dist.pop((min(other.id, ident), max(other.id, ident)), None)
 
     def _update_weights(self, x: np.ndarray) -> None:
-        rates = self.params.rates
         m = self.params.m
         beta = self.params.beta
         decay = math.exp(-beta)
@@ -304,48 +299,28 @@ class SpcModel:
     def _merge_entries(self, a: _Entry, b: _Entry) -> None:
         """Replace two structures with their fusion (older plays the lead role)."""
         older, younger = sorted((a, b), key=lambda e: (-e.age, e.id))
-        rates = self.params.rates
         gamma = self.params.gamma
-
-        mu, sigma, fell_back = self._fuse(older, younger, rates)
+        beta = self.params.beta
 
         shift = math.exp(-gamma * younger.age)
         mean_acc = shift * older.mean_acc + younger.mean_acc
-        shift_w = math.exp(-rates.beta * younger.weight_age)
-        weight_acc = shift_w * older.weight_acc + younger.weight_acc
+        weight_acc = math.exp(-beta * younger.weight_age) * older.weight_acc + younger.weight_acc
         age = older.age + younger.age
-        weight_age = older.weight_age + younger.weight_age
+        g = decay_norm(age, gamma)
+        mu = mean_acc / g
 
-        if fell_back:
+        sigma = fusion.fuse(older.mu, older.sigma, younger.mu, younger.sigma, mu)
+        if sigma is None:
+            # the union failed on a degenerate spread: pool the damped scatters
+            sigma = (shift * (older.sigma * decay_norm(older.age, gamma))
+                     + younger.sigma * decay_norm(younger.age, gamma)) / g
             self.diagnostics.cu_fallbacks += 1
         self.diagnostics.merges += 1
 
         self._remove(a)
         self._remove(b)
-        entry = _Entry(self._next_id, mean_acc, sigma, weight_acc, age, weight_age, gamma)
+        entry = _Entry(self._next_id, mean_acc, mu, sigma, weight_acc, age,
+                       older.weight_age + younger.weight_age)
         self._next_id += 1
-        entry.refresh_weight(self.params.beta)
+        entry.refresh_weight(beta)
         self._register(entry)
-
-    def _fuse(self, older: _Entry, younger: _Entry, rates: DecayRates):
-        """Candidate mean and fused covariance for two entries.
-
-        The dominant streaming merge absorbs a fresh singleton whose
-        spread is exactly the identity; that case routes through the
-        rank-one union fast path when the dimension is high enough to
-        make the dense eigendecomposition hurt.
-        """
-        if younger.unit_cov and older.mu.shape[0] >= _FAST_UNION_MIN_DIM:
-            g = decay_norm(older.age + younger.age, rates.gamma)
-            shift = math.exp(-rates.gamma * younger.age)
-            mu = (shift * older.mean_acc + younger.mean_acc) / g
-            padded_old = fusion.pad_covariance(older.sigma, older.mu, mu)
-            # every engine structure satisfies sigma >= identity: singletons
-            # start there, unions only grow, pooled merges are convex
-            sigma = fusion.union_absorbing_unit(padded_old, mu - younger.mu,
-                                                assume_floor=True)
-            if sigma is not None:
-                return mu, sigma, False
-
-        est = fusion.fuse(older.footprint(rates), younger.footprint(rates), rates)
-        return est.mu, est.sigma, est.cu_fallback

@@ -7,9 +7,13 @@ combined with a covariance union: whiten one against the other, clamp
 the whitened eigenvalues at one, and transform back. The result
 dominates both padded inputs in the Loewner order, so the fused
 structure's reach covers everything either constituent could explain.
-"""
 
-from dataclasses import dataclass
+fuse works on normalized (mean, spread) pairs, which is the form the
+streaming engine keeps; the fused mean comes from the caller's damped
+accumulators. A unit singleton is recognized by its spread being the
+shared read-only identity from unit_spread, and in high dimension it is
+absorbed through a rank-one union instead of a dense eigendecomposition.
+"""
 
 import numpy as np
 import scipy.linalg as sla
@@ -17,17 +21,22 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import linalg
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
-from .footprint import DecayRates, Footprint, merge_footprints, normalize
+
+# Dimension at which the singleton-absorption fast path pays for itself;
+# below this the dense union is already cheap.
+_FAST_UNION_MIN_DIM = 32
+
+_UNIT_SPREADS: dict[int, np.ndarray] = {}
 
 
-@dataclass
-class FusedEstimate:
-    """Fusion output: candidate mean, fused covariance, and whether the
-    union had to fall back to plain pooling."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    cu_fallback: bool = False
+def unit_spread(dim: int) -> np.ndarray:
+    """The shared read-only identity spread (and factor) of unit singletons."""
+    cached = _UNIT_SPREADS.get(dim)
+    if cached is None:
+        cached = np.eye(dim)
+        cached.setflags(write=False)
+        _UNIT_SPREADS[dim] = cached
+    return cached
 
 
 def pad_covariance(sigma: np.ndarray, mu: np.ndarray, mu_candidate: np.ndarray) -> np.ndarray:
@@ -135,25 +144,23 @@ def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray,
     return u2 + np.outer(z, z)
 
 
-def fuse(f1: Footprint, f2: Footprint, rates: DecayRates, use_cu: bool = True) -> FusedEstimate:
-    """Fuse two footprints into one mean/covariance estimate.
+def fuse(mu_old: np.ndarray, sigma_old: np.ndarray, mu_new: np.ndarray,
+         sigma_new: np.ndarray, mu: np.ndarray) -> np.ndarray | None:
+    """Covariance union of two structures padded to their fused mean mu.
 
-    The candidate mean comes from the damped merge of the accumulators
-    (f1 older by convention). With use_cu the covariance is the union of
-    the two padded covariances; otherwise, or if the union fails on a
-    degenerate input, the pooled merge scatter is used and the fallback
-    is flagged for the caller's diagnostics.
+    The first structure is the older one by convention; its padded spread
+    is the factored side of the union. Returns None when the union fails
+    on a degenerate spread, so the caller can fall back to pooling.
     """
-    pooled = normalize(merge_footprints(f1, f2, rates), rates)
-    if not use_cu:
-        return FusedEstimate(mu=pooled.mu, sigma=pooled.sigma)
-
-    s_old = normalize(f1, rates)
-    s_new = normalize(f2, rates)
-    padded_new = pad_covariance(s_new.sigma, s_new.mu, pooled.mu)
-    padded_old = pad_covariance(s_old.sigma, s_old.mu, pooled.mu)
+    padded_old = pad_covariance(sigma_old, mu_old, mu)
+    if mu.shape[0] >= _FAST_UNION_MIN_DIM and sigma_new is unit_spread(mu.shape[0]):
+        # every engine structure satisfies sigma >= identity: singletons
+        # start there, unions only grow, pooled merges are convex
+        sigma = union_absorbing_unit(padded_old, mu - mu_new, assume_floor=True)
+        if sigma is not None:
+            return sigma
+    padded_new = pad_covariance(sigma_new, mu_new, mu)
     try:
-        sigma = covariance_union(padded_new, padded_old)
+        return covariance_union(padded_new, padded_old)
     except (NotPositiveDefinite, NoConvergence):
-        return FusedEstimate(mu=pooled.mu, sigma=pooled.sigma, cu_fallback=True)
-    return FusedEstimate(mu=pooled.mu, sigma=sigma)
+        return None

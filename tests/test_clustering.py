@@ -10,6 +10,7 @@ from spclust.clustering import (
     pairwise_structure_distances,
 )
 from spclust.engine import SpcModel, SpcParams
+from spclust.errors import DimensionMismatch
 from spclust.typicality import Structure, decision_distance, structure_distance
 
 
@@ -176,13 +177,36 @@ class TestGetClustering:
             assert np.array_equal(a.sigma, b.sigma)
 
     def test_factored_distances_match_pairwise_exactly(self):
+        # the matrix comes from the engine's cached factors; the reference
+        # factors snapshot copies afresh
         model, _ = build_two_blob_model(seed=29)
         snap = model.snapshot()
-        d = pairwise_structure_distances(snap, model.params.m)
+        d = pairwise_structure_distances(model.factors(), model.params.m)
         for i in range(len(snap)):
             for j in range(len(snap)):
                 if i != j:
                     assert d[i, j] == structure_distance(snap[i], snap[j], model.params.m)
+
+
+class TestFactors:
+    def test_cached_read_only_in_id_order(self):
+        model, _ = build_two_blob_model(seed=31)
+        factors = model.factors()
+        assert len(factors) == len(model)
+        for (mu, chol), again, s in zip(factors, model.factors(), model.snapshot()):
+            assert again[0] is mu and again[1] is chol  # cached, not copied
+            assert not mu.flags.writeable and not chol.flags.writeable
+            assert np.array_equal(mu, s.mu)
+            assert np.array_equal(chol, np.tril(chol))
+            assert np.allclose(chol @ chol.T, s.sigma, rtol=1e-12, atol=1e-12)
+
+    def test_unit_singleton_factor_is_identity(self):
+        model = SpcModel(SpcParams(max_structures=3))
+        model.update([1.0, 2.0])
+        ((mu, chol),) = model.factors()
+        assert np.array_equal(mu, [1.0, 2.0])
+        assert np.array_equal(chol, np.eye(2))
+        assert not chol.flags.writeable
 
 
 class TestAssignPoints:
@@ -219,6 +243,27 @@ class TestAssignPoints:
             s = snap[int(structure_ids[k])]
             assert dists[k] == pytest.approx(decision_distance(s, pts[k], m), abs=1e-12)
             assert cluster_ids[k] == labels.labels[int(structure_ids[k])]
+
+    def test_one_dim_vector_on_two_dim_model_rejected(self):
+        model, _ = build_two_blob_model(seed=27)
+        labels = get_clustering(model)
+        with pytest.raises(DimensionMismatch):
+            assign_with_distances(model, labels, np.array([0.0, 0.0]))
+
+    def test_wrong_width_batch_rejected(self):
+        model, _ = build_two_blob_model(seed=27)
+        labels = get_clustering(model)
+        with pytest.raises(DimensionMismatch):
+            assign_points(model, labels, np.zeros((4, 3)))
+
+    def test_scalar_stream_gets_one_label_per_value(self):
+        model = SpcModel(SpcParams(max_structures=4))
+        for x in (0.0, 0.1, 9.0, 9.1, 0.05, 9.05):
+            model.update(x)
+        labels = get_clustering(model)
+        got = assign_points(model, labels, [0.0, 9.0, 0.1])
+        assert len(got) == 3
+        assert got[0] == got[2] != got[1]
 
     def test_direct_density_link_shares_label(self):
         # any two structures within epsilon are density-connected at min_pts 2

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from spclust.footprint import DecayRates, batch_footprint, footprint_from_structure, new_singleton
+import spclust.fusion as fusion
+from spclust.clustering import get_clustering
+from spclust.engine import SpcModel, SpcParams
+from spclust.errors import NotPositiveDefinite
+from spclust.footprint import DecayRates, batch_footprint
 from spclust.fusion import (
     covariance_union,
     fuse,
     pad_covariance,
     union_absorbing_unit,
+    unit_spread,
 )
 from spclust.linalg import is_psd
 
@@ -125,36 +130,66 @@ class TestUnionAbsorbingUnit:
 
 class TestFuse:
     def test_equal_structures_agree_with_pooled(self):
+        # pooling two equal structures gives back their spread, and so
+        # must their union
         pts = np.array([[0.0, 1.0], [0.4, 0.8], [-0.2, 1.2]])
-        f = footprint_from_structure(batch_footprint(pts, NO_DECAY, 1.5), NO_DECAY)
-        with_cu = fuse(f, f, NO_DECAY, use_cu=True)
-        without = fuse(f, f, NO_DECAY, use_cu=False)
-        assert np.allclose(with_cu.mu, without.mu)
-        assert np.allclose(with_cu.sigma, without.sigma, atol=1e-10)
-        assert not with_cu.cu_fallback
+        s = batch_footprint(pts, NO_DECAY, 1.5)
+        sigma = fuse(s.mu, s.sigma, s.mu, s.sigma, s.mu)
+        assert sigma is not None
+        assert np.allclose(sigma, s.sigma, atol=1e-10)
 
     def test_two_unit_singleton_structures(self):
-        f1 = new_singleton(np.array([0.0, 0.0]))
-        f2 = new_singleton(np.array([2.0, 0.0]))
-        est = fuse(f1, f2, NO_DECAY)
-        assert np.allclose(est.mu, [1.0, 0.0])
-        assert np.allclose(est.sigma, np.diag([2.0, 1.0]), atol=1e-10)
+        sigma = fuse(np.array([0.0, 0.0]), np.eye(2), np.array([2.0, 0.0]), np.eye(2),
+                     np.array([1.0, 0.0]))
+        assert np.allclose(sigma, np.diag([2.0, 1.0]), atol=1e-10)
 
     def test_far_apart_structures_grow(self):
-        f1 = new_singleton(np.array([0.0, 0.0]))
-        f2 = new_singleton(np.array([10.0, 0.0]))
-        est = fuse(f1, f2, NO_DECAY)
-        assert est.sigma[0, 0] > 10.0  # much larger than either input spread
+        sigma = fuse(np.array([0.0, 0.0]), np.eye(2), np.array([10.0, 0.0]), np.eye(2),
+                     np.array([5.0, 0.0]))
+        assert sigma[0, 0] > 10.0  # much larger than either input spread
+
+    def test_unit_singleton_takes_rank_one_union(self, monkeypatch):
+        # the shared identity marks a unit singleton; at high dimension its
+        # absorption goes through union_absorbing_unit, a plain identity
+        # through the dense union, and both agree
+        rng = np.random.default_rng(19)
+        dim = fusion._FAST_UNION_MIN_DIM
+        sigma_old = random_spd(rng, dim) + np.eye(dim)
+        mu_old, mu_new = rng.standard_normal(dim), rng.standard_normal(dim)
+        mu = 0.75 * mu_old + 0.25 * mu_new
+        calls = []
+        original = fusion.union_absorbing_unit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "union_absorbing_unit", counted)
+        fast = fuse(mu_old, sigma_old, mu_new, unit_spread(dim), mu)
+        assert calls == [1]
+        dense = fuse(mu_old, sigma_old, mu_new, np.eye(dim), mu)
+        assert calls == [1]
+        assert np.allclose(fast, dense, rtol=1e-7, atol=1e-9)
 
     def test_fallback_on_indefinite_spread(self):
         # an indefinite spread cannot be factored even with jitter, so the
-        # union gives up and the pooled scatter is kept, flagged for the
-        # caller's diagnostics
-        from spclust.footprint import Footprint
-
+        # union gives up and returns None
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        f1 = Footprint(np.zeros(2), bad.copy(), 1.0, 1, 1)
-        f2 = Footprint(np.zeros(2), bad.copy(), 1.0, 1, 1)
-        est = fuse(f1, f2, NO_DECAY)
-        assert est.cu_fallback
-        assert np.allclose(est.sigma, bad)
+        assert fuse(np.zeros(2), bad, np.zeros(2), bad.copy(), np.zeros(2)) is None
+
+    def test_engine_keeps_pooled_spread_on_fallback(self):
+        # the pooled spread of two equal-age structures without decay is
+        # the average of their spreads; it is indefinite here too, so the
+        # merged structure has no factor and the offline step refuses it
+        bad = np.array([[1.0, 3.0], [3.0, 1.0]])
+        model = SpcModel(SpcParams(max_structures=3))
+        model.update([0.0, 0.0])
+        model.update([0.0, 0.0])
+        model._entries[0].sigma = bad  # the older structure of the pair
+        model.merge_structures(0, 1)
+        assert model.diagnostics.cu_fallbacks == 1
+        assert model.diagnostics.merges == 1
+        (merged,) = model.snapshot()
+        assert np.allclose(merged.sigma, 0.5 * (bad + np.eye(2)))
+        with pytest.raises(NotPositiveDefinite):
+            get_clustering(model)

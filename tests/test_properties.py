@@ -1,0 +1,75 @@
+"""Property tests of the engine's invariants over short random streams.
+
+Streams are drawn from a small pool of points so that duplicates are
+common, with decay rates both zero and positive and prune thresholds
+high enough that prune merges and deletions happen. Low dimensions
+exercise the dense covariance union; dimensions from 32 up take the
+rank-one union that absorbs unit singletons.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spclust.clustering import pairwise_structure_distances
+from spclust.engine import SpcModel, SpcParams
+from spclust.typicality import structure_distance
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+
+
+def _streams(dims, max_len):
+    return st.fixed_dictionaries({
+        "dim": st.sampled_from(dims),
+        "n": st.integers(2, 5),
+        "gamma": _RATES,
+        "beta": _RATES,
+        "m": st.floats(1.2, 3.0),
+        "w_min": st.sampled_from([0.01, 0.5, 0.9]),
+        "nlt_max": st.sampled_from([0.5, 3.0]),
+        "scale": st.sampled_from([0.1, 1.0, 10.0]),
+        "seed": st.integers(0, 2**32 - 1),
+        "pool": st.integers(1, 8),
+        "picks": st.lists(st.integers(0, 7), min_size=1, max_size=max_len),
+    })
+
+
+def _check_invariants(model):
+    snap = model.snapshot()
+    assert len(model) <= model.params.max_structures
+    assert sum(s.age for s in snap) + model.retired_age == model.clock
+    for s in snap:
+        assert 0.0 <= s.weight <= 1.0
+        assert np.array_equal(s.sigma, s.sigma.T)
+        eig = np.linalg.eigvalsh(s.sigma)
+        assert eig[0] >= 1.0 - 1e-9 * max(1.0, eig[-1])
+
+
+def _run(case):
+    rng = np.random.default_rng(case["seed"])
+    pool = case["scale"] * rng.standard_normal((case["pool"], case["dim"]))
+    params = SpcParams(max_structures=case["n"], gamma=case["gamma"], beta=case["beta"],
+                       m=case["m"], w_min=case["w_min"], nlt_max=case["nlt_max"])
+    model = SpcModel(params)
+    for k in case["picks"]:
+        model.update(pool[k % case["pool"]])
+        _check_invariants(model)
+
+    snap = model.snapshot()
+    d = pairwise_structure_distances(model.factors(), params.m)
+    for i in range(len(snap)):
+        for j in range(len(snap)):
+            if i != j:
+                assert d[i, j] == structure_distance(snap[i], snap[j], params.m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_streams(dims=[1, 2, 3], max_len=30))
+def test_dense_union_streams_keep_invariants(case):
+    _run(case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_streams(dims=list(range(32, 41)), max_len=12))
+def test_rank_one_union_streams_keep_invariants(case):
+    _run(case)
