@@ -7,12 +7,28 @@ structures are pruned (merged into their best-fitting peer when one is
 close enough on the log-typicality scale, deleted otherwise), and if the
 store is still over budget the two most similar structures are merged.
 
-Structure means and spreads change only through merges, never per point,
-so per-structure Cholesky factors and pairwise distances are cached and
-invalidated only when a merge or deletion touches them. An _Entry is the
-one live form of a structure: merges fuse the entries' normalized
-(mean, spread) pairs directly, and the offline step reads the cached
-means and factors through factors() instead of copying and refactoring.
+The store keeps N + 1 slots: stacked means, weight accumulators,
+weights, ages, weight ages and ids as arrays, a dense pairwise distance
+matrix, and per slot its mean and lower Cholesky factor (both
+read-only), mean accumulator and spread. Slots stay in ascending-id order: new
+structures (singletons and merge results, which always take the next
+id) append, removals compact. numpy's first-minimum rule then is the
+tie-break everywhere: the closest pair is the first minimum of the
+distance matrix's upper triangle in row-major order, i.e. the least
+(distance, smaller id, larger id); a pruned structure goes to the lowest
+id among equally typical targets; prune candidates run in (weight, id)
+order, each against the store the previous one left.
+
+Means and spreads change only through merges, so each slot's factor and
+its distances to the earlier slots are computed once, when it is
+filled; a singleton's distance row also gives the new point's
+typicality in every structure for the weight update. Up to d = 3 the
+factors are stacked too (a singleton's is the identity) and one call of
+linalg.solve_norm_sq's closed form per direction gives a whole row, bit
+for bit what structure_distance computes pair by pair. From d = 4 each
+slot keeps its own arithmetic: a dot product for unit singletons and
+triangular solves otherwise. The typicality transform stays scalar
+math, whose exp and log differ from numpy's in the last digit.
 """
 
 import math
@@ -22,7 +38,7 @@ import numpy as np
 
 from . import fusion, linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, UnknownIdentifier
-from .footprint import DecayRates, decay_norm
+from .footprint import decay_norm
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 
 
@@ -63,10 +79,6 @@ class SpcParams:
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 
-    @property
-    def rates(self) -> DecayRates:
-        return DecayRates(gamma=self.gamma, beta=self.beta)
-
 
 @dataclass
 class Diagnostics:
@@ -86,64 +98,6 @@ class Diagnostics:
         }
 
 
-class _Entry:
-    """One live structure plus the caches keyed to its immutable mean/spread.
-
-    mu and chol are read-only: factors() hands them out without copying.
-    A unit singleton's spread is the shared identity, which is also its
-    factor.
-    """
-
-    __slots__ = ("id", "mean_acc", "sigma", "weight_acc", "age", "weight_age",
-                 "mu", "chol", "weight", "unit_cov")
-
-    def __init__(self, ident, mean_acc, mu, sigma, weight_acc, age, weight_age):
-        self.id = ident
-        self.mean_acc = mean_acc
-        self.sigma = sigma
-        self.weight_acc = weight_acc
-        self.age = age
-        self.weight_age = weight_age
-        self.mu = mu
-        mu.setflags(write=False)
-        self.unit_cov = sigma is fusion.unit_spread(mu.shape[0])
-        if self.unit_cov:
-            self.chol = sigma
-        else:
-            try:
-                self.chol = linalg.cholesky(sigma)
-                self.chol.setflags(write=False)
-            except NotPositiveDefinite:
-                self.chol = None  # degenerate spread: treat as zero reach
-        self.weight = 1.0
-
-    def refresh_weight(self, beta: float) -> None:
-        # a damped average of typicalities is at most one; the recursive
-        # sum and the closed-form normalizer can round one ulp apart
-        self.weight = min(1.0, self.weight_acc / decay_norm(self.weight_age, beta))
-
-    def dsq(self, point: np.ndarray) -> float:
-        """Squared Mahalanobis distance of a point under this structure."""
-        delta = point - self.mu
-        if self.unit_cov:
-            return float(delta @ delta)
-        if self.chol is None:
-            return math.inf if np.any(delta) else 0.0
-        if not np.any(delta):
-            return 0.0
-        return linalg.solve_norm_sq(self.chol, delta)
-
-    def dsq_many(self, points: np.ndarray) -> np.ndarray:
-        deltas = points - self.mu
-        if self.unit_cov:
-            return np.einsum("ij,ij->i", deltas, deltas)
-        if self.chol is None:
-            out = np.full(points.shape[0], math.inf)
-            out[~np.any(deltas, axis=1)] = 0.0
-            return out
-        return linalg.solve_norm_sq_many(self.chol, deltas)
-
-
 class SpcModel:
     """Mutable model state: ordered structure store plus the stream clock.
 
@@ -157,36 +111,59 @@ class SpcModel:
         self.dim: int | None = None
         self.diagnostics = Diagnostics()
         self.retired_age = 0
-        self._entries: list[_Entry] = []
         self._next_id = 0
-        self._dist: dict[tuple[int, int], float] = {}
+        self._n = 0
+        cap = params.max_structures + 1
+        self._ids = np.zeros(cap, dtype=np.int64)
+        self._weight_acc = np.zeros(cap)
+        self._weight = np.zeros(cap)
+        self._age = np.zeros(cap, dtype=np.int64)
+        self._weight_age = np.zeros(cap, dtype=np.int64)
+        # upper triangle only: the diagonal and lower triangle stay inf
+        self._dist = np.full((cap, cap), math.inf)
+        # per slot: mean and lower factor (both read-only; the factor is
+        # None for a spread that has none), mean accumulator and spread
+        self._mus: list[np.ndarray] = []
+        self._mean_accs: list[np.ndarray] = []
+        self._sigmas: list[np.ndarray] = []
+        self._chols: list[np.ndarray | None] = []
+        # set with the first point: stacked means, and for d <= 3 the factors
+        # stacked along a trailing slot axis, (d, d, N + 1), the layout the
+        # closed-form kernel takes (NaN for a slot without a factor)
+        self._mu: np.ndarray | None = None
+        self._chol: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._n
 
     def ids(self) -> list[int]:
-        return [e.id for e in self._entries]
+        return self._ids[:self._n].tolist()
 
     def snapshot(self) -> list[Structure]:
-        """Normalized read-only views of all structures, ordered by identifier."""
+        """Normalized copies of all structures, ordered by identifier.
+
+        Every mean and spread is copied; factors() is the read-only view
+        without copies.
+        """
         return [
-            Structure(mu=e.mu.copy(), sigma=e.sigma.copy(), weight=e.weight, age=e.age)
-            for e in self._entries
+            Structure(mu=self._mus[k].copy(), sigma=self._sigmas[k].copy(),
+                      weight=float(self._weight[k]), age=int(self._age[k]))
+            for k in range(self._n)
         ]
 
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
         The engine's own cached arrays, marked read-only, not copies; they
-        stay valid after later updates, which replace entries rather than
-        mutate them. Raises NotPositiveDefinite if a spread has no factor.
+        stay valid after later updates, which replace a structure's arrays
+        rather than mutate them. Raises NotPositiveDefinite if a spread has
+        no factor.
         """
-        out = []
-        for e in self._entries:
-            if e.chol is None:
-                raise NotPositiveDefinite(f"spread of structure {e.id} is not positive-definite")
-            out.append((e.mu, e.chol))
-        return out
+        for k, chol in enumerate(self._chols):
+            if chol is None:
+                raise NotPositiveDefinite(
+                    f"spread of structure {self._ids[k]} is not positive-definite")
+        return list(zip(self._mus, self._chols))
 
     def update(self, x) -> None:
         """Consume one stream point."""
@@ -197,130 +174,221 @@ class SpcModel:
             raise ValueError("stream point must be finite")
         if self.dim is None:
             self.dim = x.shape[0]
+            cap = self.params.max_structures + 1
+            self._mu = np.zeros((cap, self.dim))
+            if 0 < self.dim <= linalg.CLOSED_FORM_MAX_DIM:
+                self._chol = np.zeros((self.dim, self.dim, cap))
         elif x.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[0]}")
 
         self.clock += 1
-        self._add_singleton(x)
-        if len(self._entries) <= self.params.max_structures:
+        # the singleton's distance row already holds x's typicality in every
+        # earlier structure; its own is 1
+        typicality = self._add_singleton(x) + [1.0]
+        if self._n <= self.params.max_structures:
             return
 
-        self._update_weights(x)
+        self._update_weights(typicality)
         self._prune()
-        while len(self._entries) > self.params.max_structures:
-            a, b = self._closest_pair()
-            self._merge_entries(a, b)
+        while self._n > self.params.max_structures:
+            self._merge(*self._closest_pair())
 
     def merge_structures(self, ident_a: int, ident_b: int) -> None:
         """Merge two structures selected by identifier."""
         if ident_a == ident_b:
             raise ValueError("cannot merge a structure with itself")
-        self._merge_entries(self._find(ident_a), self._find(ident_b))
+        self._merge(self._slot(ident_a), self._slot(ident_b))
 
     # -- internals ---------------------------------------------------------
 
-    def _find(self, ident: int) -> _Entry:
-        for e in self._entries:
-            if e.id == ident:
-                return e
-        raise UnknownIdentifier(f"no structure with identifier {ident}")
+    def _slot(self, ident: int) -> int:
+        hits = np.flatnonzero(self._ids[:self._n] == ident)
+        if not hits.size:
+            raise UnknownIdentifier(f"no structure with identifier {ident}")
+        return int(hits[0])
 
-    def _add_singleton(self, x: np.ndarray) -> None:
+    def _add_singleton(self, x: np.ndarray) -> list[float]:
         # shared read-only identity: nothing downstream mutates a spread
         # in place, and snapshot() hands out copies
         x = x.copy()
-        entry = _Entry(self._next_id, x, x, fusion.unit_spread(x.shape[0]), 1.0, 1, 1)
+        unit = fusion.unit_spread(x.shape[0])
+        return self._append(x, x, unit, unit, 1.0, 1, 1, 1.0)
+
+    def _append(self, mean_acc, mu, sigma, chol, weight_acc, age, weight_age,
+                weight) -> list[float]:
+        """Fill the next slot and its column of distances to every earlier slot.
+
+        Returns the typicality of the new mean in each earlier structure.
+        """
+        s = self._n
+        mu.setflags(write=False)
+        self._mus.append(mu)
+        self._mean_accs.append(mean_acc)
+        self._sigmas.append(sigma)
+        self._chols.append(chol)
+        self._mu[s] = mu
+        if self._chol is not None:
+            self._chol[..., s] = np.nan if chol is None else chol
+        self._ids[s] = self._next_id
         self._next_id += 1
-        self._register(entry)
+        self._weight_acc[s] = weight_acc
+        self._weight[s] = weight
+        self._age[s] = age
+        self._weight_age[s] = weight_age
+        self._n = s + 1
+        self._dist[s, :s + 1] = math.inf
+        if not s:
+            return []
+        self._dist[:s, s], typicality = self._distance_row(s)
+        return typicality
 
-    def _register(self, entry: _Entry) -> None:
-        if self._entries:
-            self._add_distances(entry)
-        self._entries.append(entry)
+    def _drop(self, *slots: int) -> None:
+        """Remove slots, shifting the later ones down to keep id order."""
+        for k in sorted(slots, reverse=True):
+            n = self._n - 1
+            for arr in (self._ids, self._weight_acc, self._weight, self._age,
+                        self._weight_age, self._mu):
+                arr[k:n] = arr[k + 1:n + 1]
+            if self._chol is not None:
+                self._chol[..., k:n] = self._chol[..., k + 1:n + 1]
+            self._dist[k:n, :n + 1] = self._dist[k + 1:n + 1, :n + 1]
+            self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
+            for per_slot in (self._mus, self._mean_accs, self._sigmas, self._chols):
+                del per_slot[k]
+            self._n = n
 
-    def _add_distances(self, entry: _Entry) -> None:
+    def _distance_row(self, s: int) -> tuple[np.ndarray, list[float]]:
+        """Structure distance of slot s to each earlier slot, and the
+        typicality of slot s's mean in each of them.
+
+        The distance is one minus the product of each mean's typicality in
+        the other structure, as in typicality.structure_distance.
+        """
         m = self.params.m
-        others = self._entries
-        mus = np.stack([o.mu for o in others])
-        dsq_theirs_in_new = entry.dsq_many(mus)
-        for o, d_in_new in zip(others, dsq_theirs_in_new):
-            d_in_old = o.dsq(entry.mu)
-            dist = 1.0 - _typicality_of_dsq(float(d_in_new), m) * _typicality_of_dsq(d_in_old, m)
-            self._dist[(min(o.id, entry.id), max(o.id, entry.id))] = dist
+        new_in_old = self._dsq_at(self._mu[s], np.arange(s))
+        old_from_new = self._mu[:s] - self._mu[s]
+        if self._chol is not None:
+            old_in_new = _closed_form_dsq(old_from_new, self._chol[..., s:s + 1])
+        else:
+            old_in_new = _dsq_many(self._chols[s], old_from_new)
+        u_new = [_typicality_of_dsq(v, m) for v in new_in_old]
+        u_old = [_typicality_of_dsq(v, m) for v in old_in_new.tolist()]
+        return 1.0 - np.multiply(u_old, u_new), u_new
 
-    def _remove(self, entry: _Entry) -> None:
-        self._entries.remove(entry)
-        ident = entry.id
-        for other in self._entries:
-            self._dist.pop((min(other.id, ident), max(other.id, ident)), None)
+    def _dsq_at(self, point: np.ndarray, slots) -> list[float]:
+        """Squared Mahalanobis distance of point under each listed slot's spread."""
+        deltas = point - self._mu[slots]
+        if self._chol is not None:
+            return _closed_form_dsq(deltas, self._chol[..., slots]).tolist()
+        return [_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)]
 
-    def _update_weights(self, x: np.ndarray) -> None:
-        m = self.params.m
+    def _update_weights(self, typicality: list[float]) -> None:
+        n = self._n
         beta = self.params.beta
-        decay = math.exp(-beta)
-        for e in self._entries:
-            u = _typicality_of_dsq(e.dsq(x), m)
-            e.weight_acc = decay * e.weight_acc + u
-            e.weight_age += 1
-            e.refresh_weight(beta)
+        self._weight_acc[:n] = math.exp(-beta) * self._weight_acc[:n] + typicality
+        self._weight_age[:n] += 1
+        norms = [decay_norm(age, beta) for age in self._weight_age[:n].tolist()]
+        # a damped average of typicalities is at most one; the recursive
+        # sum and the closed-form normalizer can round one ulp apart
+        self._weight[:n] = np.minimum(1.0, self._weight_acc[:n] / norms)
 
     def _prune(self) -> None:
-        w_min = self.params.w_min
         m = self.params.m
-        candidates = sorted(
-            (e for e in self._entries if e.weight < w_min),
-            key=lambda e: (e.weight, e.id),
-        )
-        if not candidates:
+        weight = self._weight[:self._n]
+        low = np.flatnonzero(weight < self.params.w_min)
+        if not low.size:
             return
-        candidate_ids = {e.id for e in candidates}
-        for cand in candidates:
+        # slots are in id order, so a stable sort by weight orders by (weight, id)
+        candidates = self._ids[low[np.argsort(weight[low], kind="stable")]].tolist()
+        for ident in candidates:
+            cand = self._slot(ident)
+            targets = np.flatnonzero(~np.isin(self._ids[:self._n], candidates))
             best = None
-            best_nlt = math.inf
-            for target in self._entries:
-                if target.id in candidate_ids or target.id == cand.id:
-                    continue
-                val = _nlt_of_dsq(target.dsq(cand.mu), m)
-                if val < best_nlt:
-                    best = target
-                    best_nlt = val
+            if targets.size:
+                nlt = [_nlt_of_dsq(v, m) for v in self._dsq_at(self._mu[cand], targets)]
+                k = int(np.argmin(nlt))
+                if nlt[k] < self.params.nlt_max:
+                    best = int(targets[k])
             self.diagnostics.prunes += 1
-            if best is not None and best_nlt < self.params.nlt_max:
-                self._merge_entries(cand, best)
+            if best is not None:
+                self._merge(cand, best)
             else:
-                self._remove(cand)
-                self.retired_age += cand.age
+                self.retired_age += int(self._age[cand])
                 self.diagnostics.deletions += 1
+                self._drop(cand)
 
-    def _closest_pair(self) -> tuple[_Entry, _Entry]:
-        (id_a, id_b), _ = min(self._dist.items(), key=lambda kv: (kv[1], kv[0]))
-        return self._find(id_a), self._find(id_b)
+    def _closest_pair(self) -> tuple[int, int]:
+        n = self._n
+        return divmod(int(np.argmin(self._dist[:n, :n])), n)
 
-    def _merge_entries(self, a: _Entry, b: _Entry) -> None:
-        """Replace two structures with their fusion (older plays the lead role)."""
-        older, younger = sorted((a, b), key=lambda e: (-e.age, e.id))
+    def _merge(self, a: int, b: int) -> None:
+        """Replace two slots with their fusion (older plays the lead role)."""
+        older, younger = sorted((a, b), key=lambda k: (-self._age[k], self._ids[k]))
         gamma = self.params.gamma
         beta = self.params.beta
+        age_old, age_new = int(self._age[older]), int(self._age[younger])
+        wage_old, wage_new = int(self._weight_age[older]), int(self._weight_age[younger])
 
-        shift = math.exp(-gamma * younger.age)
-        mean_acc = shift * older.mean_acc + younger.mean_acc
-        weight_acc = math.exp(-beta * younger.weight_age) * older.weight_acc + younger.weight_acc
-        age = older.age + younger.age
+        shift = math.exp(-gamma * age_new)
+        mean_acc = shift * self._mean_accs[older] + self._mean_accs[younger]
+        weight_acc = (math.exp(-beta * wage_new) * float(self._weight_acc[older])
+                      + float(self._weight_acc[younger]))
+        age = age_old + age_new
         g = decay_norm(age, gamma)
         mu = mean_acc / g
 
-        sigma = fusion.fuse(older.mu, older.sigma, younger.mu, younger.sigma, mu)
+        sigma_old, sigma_new = self._sigmas[older], self._sigmas[younger]
+        sigma = fusion.fuse(self._mus[older], sigma_old, self._mus[younger], sigma_new, mu)
         if sigma is None:
             # the union failed on a degenerate spread: pool the damped scatters
-            sigma = (shift * (older.sigma * decay_norm(older.age, gamma))
-                     + younger.sigma * decay_norm(younger.age, gamma)) / g
+            sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
+                     + sigma_new * decay_norm(age_new, gamma)) / g
             self.diagnostics.cu_fallbacks += 1
         self.diagnostics.merges += 1
 
-        self._remove(a)
-        self._remove(b)
-        entry = _Entry(self._next_id, mean_acc, mu, sigma, weight_acc, age,
-                       older.weight_age + younger.weight_age)
-        self._next_id += 1
-        entry.refresh_weight(beta)
-        self._register(entry)
+        self._drop(a, b)
+        try:
+            chol = linalg.cholesky(sigma)
+            chol.setflags(write=False)
+        except NotPositiveDefinite:
+            chol = None  # degenerate spread: zero reach
+        weight_age = wage_old + wage_new
+        weight = min(1.0, weight_acc / decay_norm(weight_age, beta))
+        self._append(mean_acc, mu, sigma, chol, weight_acc, age, weight_age, weight)
+
+
+def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """Row-wise delta_k' (L_k L_k')^-1 delta_k for d <= 3 from (d, d, n) factors.
+
+    A single factor (d, d, 1) serves every row. A slot without a factor
+    (NaN) has zero reach: infinitely far except at its own mean.
+    """
+    out = linalg.solve_norm_sq(chols, deltas.T)
+    lost = np.isnan(out)
+    if lost.any():
+        out[lost] = np.where(deltas[lost].any(axis=1), math.inf, 0.0)
+    return out
+
+
+def _dsq(chol: np.ndarray | None, delta: np.ndarray) -> float:
+    """delta' Sigma^-1 delta of one delta under one d >= 4 structure's factor."""
+    if chol is None:
+        return math.inf if np.any(delta) else 0.0
+    if chol is fusion.unit_spread(delta.shape[0]):
+        return float(delta @ delta)
+    if not np.any(delta):
+        return 0.0
+    return linalg.solve_norm_sq(chol, delta)
+
+
+def _dsq_many(chol: np.ndarray | None, deltas: np.ndarray) -> np.ndarray:
+    """Row-wise delta' Sigma^-1 delta of d >= 4 deltas under one factor.
+
+    One triangular solve with many right-hand sides (one einsum for a unit
+    singleton) instead of a call per delta.
+    """
+    if chol is None:
+        return np.where(deltas.any(axis=1), math.inf, 0.0)
+    if chol is fusion.unit_spread(deltas.shape[1]):
+        return np.einsum("ij,ij->i", deltas, deltas)
+    return linalg.solve_norm_sq_many(chol, deltas)

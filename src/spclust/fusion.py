@@ -16,7 +16,6 @@ absorbed through a rank-one union instead of a dense eigendecomposition.
 """
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import linalg
@@ -69,27 +68,19 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     # union equals the dominant one (all whitened eigenvalues land on one
     # side of the clamp). A plain Cholesky success on the difference is a
     # sufficient and cheap certificate.
-    if _is_spd(u2 - u1):
+    if linalg.is_pd(u2 - u1):
         return u2.copy()
-    if _is_spd(u1 - u2):
+    if linalg.is_pd(u1 - u2):
         return u1.copy()
 
     chol_old = linalg.cholesky(u2)
-    half = sla.solve_triangular(chol_old, u1, lower=True, check_finite=False)
-    whitened = sla.solve_triangular(chol_old, half.T, lower=True, check_finite=False)
+    half = linalg.solve_triangular(chol_old, u1)
+    whitened = linalg.solve_triangular(chol_old, half.T)
     whitened = 0.5 * (whitened + whitened.T)
     q, lam = linalg.sym_eigen(whitened)
     transform = chol_old @ q
     fused = (transform * np.maximum(lam, 1.0)) @ transform.T
     return 0.5 * (fused + fused.T)
-
-
-def _is_spd(a: np.ndarray) -> bool:
-    try:
-        sla.cholesky(a, lower=True, check_finite=False)
-        return True
-    except sla.LinAlgError:
-        return False
 
 
 # Slack allowed when certifying the spread floor of the factored side in
@@ -114,20 +105,20 @@ def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray,
     dim = u2.shape[0]
     if dim < 2:
         return None
-    if not assume_floor and not _is_spd(u2 - (1.0 - _FLOOR_SLACK) * np.eye(dim)):
+    if not assume_floor and not linalg.is_pd(u2 - (1.0 - _FLOOR_SLACK) * np.eye(dim)):
         return None
 
     try:
         chol_old = linalg.cholesky(u2)
     except NotPositiveDefinite:
         return None
-    q = sla.solve_triangular(chol_old, offset, lower=True, check_finite=False)
+    q = linalg.solve_triangular(chol_old, offset)
 
     def matvec(v):
         # base term L^-1 L^-T v: same spectrum as u2^-1, so the spread
         # floor certificate bounds all but the rank-one bump below one
-        y = sla.solve_triangular(chol_old.T, v, lower=False, check_finite=False)
-        y = sla.solve_triangular(chol_old, y, lower=True, check_finite=False)
+        y = linalg.solve_triangular(chol_old.T, v, lower=False)
+        y = linalg.solve_triangular(chol_old, y)
         return y + q * (q @ v)
 
     start = q if np.any(q) else np.ones(dim)

@@ -5,10 +5,15 @@ expected to be symmetric; LAPACK only reads one triangle, so slight
 asymmetry from accumulated rounding is tolerated. Explicit matrix
 inversion is never performed; every quadratic form goes through a
 triangular solve.
+
+LAPACK is called directly (dpotrf, dtrtrs, dsyevr) with the arguments
+and workspace sizes that scipy.linalg's cholesky, solve_triangular and
+eigh pass, so results are bitwise the same without the wrapper overhead
+that dominates on the tiny matrices of streaming merges.
 """
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
@@ -17,6 +22,10 @@ from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 # matrices, with an absolute floor for the all-zero case.
 REG_LAMBDA = 1e-9
 REG_FLOOR = 1e-30
+
+# Largest dimension for which solve_norm_sq unrolls the substitution and
+# accepts stacked arguments.
+CLOSED_FORM_MAX_DIM = 3
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -28,19 +37,50 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     e.g. from merges of identical points). Raises NotPositiveDefinite if
     the jittered matrix still fails.
     """
-    a = np.asarray(a, dtype=float)
-    try:
-        return sla.cholesky(a, lower=True)
-    except sla.LinAlgError:
-        pass
+    a = _finite(a)
+    chol = _potrf(a)
+    if chol is not None:
+        return chol
     dim = a.shape[0]
     jitter = REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR)
-    try:
-        return sla.cholesky(a + jitter * np.eye(dim), lower=True)
-    except sla.LinAlgError as exc:
+    chol = _potrf(_finite(a + jitter * np.eye(dim)))
+    if chol is None:
         raise NotPositiveDefinite(
             f"matrix of dim {dim} is not positive-definite after regularization"
-        ) from exc
+        )
+    return chol
+
+
+def is_pd(a: np.ndarray) -> bool:
+    """True iff a plain (unjittered) Cholesky factorization of a succeeds."""
+    return _potrf(np.asarray(a, dtype=float)) is not None
+
+
+def _potrf(a: np.ndarray) -> np.ndarray | None:
+    """Lower factor of symmetric a, or None if a is not positive-definite."""
+    chol, info = lapack.dpotrf(a, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return chol if info == 0 else None
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
+    """x with a @ x == b for triangular a; b is a vector or a matrix of columns.
+
+    Mirrors scipy.linalg.solve_triangular: a C-ordered a is passed to
+    LAPACK as the transposed system of its Fortran view.
+    """
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=lower)
+    else:
+        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular triangular matrix at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,40 +89,50 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (Q, lam) with orthonormal eigenvector columns and eigenvalues
     sorted in descending order, so a == Q @ diag(lam) @ Q.T.
     """
-    a = np.asarray(a, dtype=float)
-    try:
-        lam, q = sla.eigh(a)
-    except sla.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition failed for dim {a.shape[0]}") from exc
+    a = _finite(a)
+    # the workspace scipy.linalg.eigh asks for; the routine's default
+    # size changes the result bits from n = 40 up
+    lwork, liwork, info = lapack.dsyevr_lwork(a.shape[0], lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevr workspace query failed: {info}")
+    lam, q, _, _, info = lapack.dsyevr(a, compute_v=1, lower=1,
+                                       lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise NoConvergence(f"eigendecomposition failed for dim {a.shape[0]}")
     return np.ascontiguousarray(q[:, ::-1]), lam[::-1]
 
 
-def solve_norm_sq(chol_lower: np.ndarray, delta: np.ndarray) -> float:
+def solve_norm_sq(chol_lower: np.ndarray, delta: np.ndarray):
     """Squared norm of L^-1 @ delta, i.e. delta' (LL')^-1 delta.
 
     Unrolled forward substitution for the tiny dimensions that dominate
-    streaming workloads; LAPACK otherwise.
+    streaming workloads; LAPACK otherwise. Up to d = 3 the arguments may
+    also carry a trailing stack axis, (d, d, n) factors against (d, n)
+    deltas (either may broadcast): elementwise arithmetic in the same
+    order then gives the n values bit for bit, as an array.
     """
     d = delta.shape[0]
     if d == 1:
         y0 = delta[0] / chol_lower[0, 0]
-        return float(y0 * y0)
-    if d == 2:
+        out = y0 * y0
+    elif d == 2:
         y0 = delta[0] / chol_lower[0, 0]
         y1 = (delta[1] - chol_lower[1, 0] * y0) / chol_lower[1, 1]
-        return float(y0 * y0 + y1 * y1)
-    if d == 3:
+        out = y0 * y0 + y1 * y1
+    elif d == 3:
         y0 = delta[0] / chol_lower[0, 0]
         y1 = (delta[1] - chol_lower[1, 0] * y0) / chol_lower[1, 1]
         y2 = (delta[2] - chol_lower[2, 0] * y0 - chol_lower[2, 1] * y1) / chol_lower[2, 2]
-        return float(y0 * y0 + y1 * y1 + y2 * y2)
-    y = sla.solve_triangular(chol_lower, delta, lower=True, check_finite=False)
-    return float(y @ y)
+        out = y0 * y0 + y1 * y1 + y2 * y2
+    else:
+        y = solve_triangular(chol_lower, delta)
+        return float(y @ y)
+    return out if out.ndim else float(out)
 
 
 def solve_norm_sq_many(chol_lower: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Row-wise delta' (LL')^-1 delta for an (n, d) array of deltas."""
-    y = sla.solve_triangular(chol_lower, deltas.T, lower=True, check_finite=False)
+    y = solve_triangular(chol_lower, deltas.T)
     return np.einsum("ij,ij->j", y, y)
 
 
@@ -111,6 +161,14 @@ def is_psd(a: np.ndarray, tol: float = 0.0) -> bool:
     if a.size == 0:
         return True
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
+
+
+def _finite(a) -> np.ndarray:
+    """a as a float array; raises ValueError on infs and NaNs, as scipy does."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
 
 
 def _dim_error(shape_a, shape_b):

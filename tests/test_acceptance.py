@@ -245,19 +245,27 @@ def test_07_sine_waves_end_to_end():
     points = sp.gen_sine_waves(seed=0)
     params = sp.SpcParams(max_structures=30, gamma=0.1, beta=0.05, m=1.4,
                           epsilon=0.95, w_min=0.01, nlt_max=3.0, min_pts=2)
-    purity, nmi, _ = _stream_through(points, params)
+    purity, nmi, model = _stream_through(points, params)
     elapsed = time.perf_counter() - t0
-    _report(7, "sine-wave stream quality", purity >= 0.98 and nmi >= 0.95 and elapsed < 10.0,
-            f"(purity={purity:.4f}, nmi={nmi:.4f}, {elapsed:.1f}s)")
+    diag = model.diagnostics
+    decisions = (diag.merges, diag.prunes, diag.deletions)
+    _report(7, "sine-wave stream quality",
+            purity >= 0.98 and nmi >= 0.95 and elapsed < 10.0 and decisions == (1170, 127, 0),
+            f"(purity={purity:.4f}, nmi={nmi:.4f}, merges/prunes/deletions={decisions}, "
+            f"{elapsed:.1f}s)")
 
 
 def test_08_overlapping_triangle_end_to_end():
     t0 = time.perf_counter()
     points = sp.gen_overlapping_triangle(seed=0)
-    purity, nmi, _ = _stream_through(points, AGGREGATION_PARAMS)
+    purity, nmi, model = _stream_through(points, AGGREGATION_PARAMS)
     elapsed = time.perf_counter() - t0
-    _report(8, "overlapping-triangle stream purity", purity >= 0.95 and elapsed < 10.0,
-            f"(purity={purity:.4f}, nmi={nmi:.4f}, {elapsed:.1f}s)")
+    diag = model.diagnostics
+    decisions = (diag.merges, diag.prunes, diag.deletions)
+    _report(8, "overlapping-triangle stream purity",
+            purity >= 0.95 and elapsed < 10.0 and decisions == (870, 5, 0),
+            f"(purity={purity:.4f}, nmi={nmi:.4f}, merges/prunes/deletions={decisions}, "
+            f"{elapsed:.1f}s)")
 
 
 @pytest.mark.slow

@@ -178,14 +178,19 @@ class TestGetClustering:
 
     def test_factored_distances_match_pairwise_exactly(self):
         # the matrix comes from the engine's cached factors; the reference
-        # factors snapshot copies afresh
+        # factors snapshot copies afresh. The engine's own matrix, whose
+        # upper triangle the closest-pair search reads, must agree too.
         model, _ = build_two_blob_model(seed=29)
         snap = model.snapshot()
-        d = pairwise_structure_distances(model.factors(), model.params.m)
+        m = model.params.m
+        d = pairwise_structure_distances(model.factors(), m)
+        engine = model._dist[:len(snap), :len(snap)]
         for i in range(len(snap)):
             for j in range(len(snap)):
                 if i != j:
-                    assert d[i, j] == structure_distance(snap[i], snap[j], model.params.m)
+                    assert d[i, j] == structure_distance(snap[i], snap[j], m)
+                if i < j:
+                    assert engine[i, j] == d[i, j]
 
 
 class TestFactors:

@@ -123,6 +123,49 @@ class TestDeterminism:
         assert models[0].ids() == models[1].ids()
 
 
+class TestTieBreaks:
+    def test_coincident_structures_merge_lowest_id_pair_first(self):
+        # every pair sits at distance exactly 0, so each overflow merges the
+        # two lowest identifiers
+        model = SpcModel(SpcParams(max_structures=3))
+        for t in range(1, 9):
+            model.update([2.0, -1.0])
+            expected = list(range(t)) if t <= 3 else [2 * t - 6, 2 * t - 5, 2 * t - 4]
+            assert model.ids() == expected
+
+    @pytest.mark.parametrize("pool, picks, n, w_min, expected, diagnostics, retired", [
+        # prune merges and deletions, equally typical prune targets
+        ([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]],
+         [0, 2, 0, 0, 2, 0, 1, 0, 1, 2, 0, 2, 2, 0, 2, 0, 0, 0, 2, 2], 4, 0.5,
+         [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [1, 4], [1, 4, 5], [1, 4, 5, 6],
+          [5, 7], [5, 7, 8], [5, 7, 8, 9], [5, 7, 10], [5, 7, 10, 11],
+          [7, 11, 12, 13], [7, 13, 14], [7, 13, 14, 15], [7, 13, 14, 16],
+          [14, 16, 17, 18], [17, 18, 19, 20], [18, 20, 21, 22], [21, 23]],
+         (4, 16, 14), 18),
+        # equal-weight candidates whose order changes the outcome
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+         [2, 0, 1, 1, 1, 2, 1, 1, 1, 0, 0, 0], 4, 0.9,
+         [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [4, 5, 6], [4, 5, 6, 7],
+          [4, 6, 8, 9], [6, 8, 10, 11], [6, 11, 12, 13], [14, 17], [14, 17, 18],
+          [14, 17, 18, 19]],
+         (8, 7, 0), 0),
+    ])
+    def test_duplicate_stream_decisions_pinned(self, pool, picks, n, w_min, expected,
+                                               diagnostics, retired):
+        # duplicate points give zero-distance pair ties, prune candidates of
+        # equal weight and equally typical prune targets; the closest pair
+        # is the least (distance, id, id), candidates run in (weight, id)
+        # order and each goes to the lowest id among its best targets
+        pool = np.asarray(pool)
+        model = SpcModel(SpcParams(max_structures=n, beta=0.5, w_min=w_min))
+        for k, ids in zip(picks, expected):
+            model.update(pool[k])
+            assert model.ids() == ids
+        diag = model.diagnostics
+        assert (diag.merges, diag.prunes, diag.deletions) == diagnostics
+        assert model.retired_age == retired
+
+
 class TestPruning:
     def test_prune_merges_into_reachable_structure(self):
         params = SpcParams(max_structures=3, beta=2.0, m=1.5)

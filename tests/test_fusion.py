@@ -185,7 +185,7 @@ class TestFuse:
         model = SpcModel(SpcParams(max_structures=3))
         model.update([0.0, 0.0])
         model.update([0.0, 0.0])
-        model._entries[0].sigma = bad  # the older structure of the pair
+        model._sigmas[0] = bad  # the stored spread of the older structure
         model.merge_structures(0, 1)
         assert model.diagnostics.cu_fallbacks == 1
         assert model.diagnostics.merges == 1
@@ -193,3 +193,15 @@ class TestFuse:
         assert np.allclose(merged.sigma, 0.5 * (bad + np.eye(2)))
         with pytest.raises(NotPositiveDefinite):
             get_clustering(model)
+        # without a factor the structure has zero reach: a point off its
+        # mean has typicality 0 there (weight 2/3 after two points of
+        # typicality 1), and a point on its mean is at distance 0, so the
+        # two are the closest pair and merge (through the fallback again)
+        for x in ([10.0, 0.0], [10.5, 0.0], [11.0, 0.0]):
+            model.update(x)
+        assert model.diagnostics.merges == 2
+        assert model.ids() == [2, 5, 6]
+        assert model.snapshot()[0].weight == 2.0 / 3.0
+        model.update([0.0, 0.0])
+        assert model.diagnostics.cu_fallbacks == 2
+        assert model.ids() == [5, 6, 8]

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from spclust.errors import DimensionMismatch, NotPositiveDefinite
-from spclust.linalg import cholesky, is_psd, mahalanobis_sq, solve_norm_sq, sym_eigen
+from spclust.linalg import (
+    cholesky,
+    is_pd,
+    is_psd,
+    mahalanobis_sq,
+    solve_norm_sq,
+    solve_triangular,
+    sym_eigen,
+)
 
 
 def random_spd(rng, dim):
@@ -157,6 +166,56 @@ class TestSolveNormSq:
             batched = solve_norm_sq_many(l, deltas)
             for k in range(12):
                 assert batched[k] == pytest.approx(solve_norm_sq(l, deltas[k]), rel=1e-12)
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stacked_matches_separate_calls_bitwise(self, dim):
+        rng = np.random.default_rng(23 + dim)
+        chols = [cholesky(random_spd(rng, dim)) for _ in range(20)]
+        chols[3] = np.eye(dim)
+        deltas = rng.standard_normal((20, dim))
+        deltas[5] = 0.0
+        stacked = solve_norm_sq(np.stack(chols, axis=-1), deltas.T)
+        assert stacked.tolist() == [solve_norm_sq(c, d) for c, d in zip(chols, deltas)]
+        # one factor broadcast over every delta
+        shared = solve_norm_sq(chols[0][..., None], deltas.T)
+        assert shared.tolist() == [solve_norm_sq(chols[0], d) for d in deltas]
+
+
+class TestDirectLapack:
+    def test_matches_scipy_wrappers_bitwise(self):
+        # dsyevr's own default workspace would change eigh's bits from n = 40
+        rng = np.random.default_rng(29)
+        for dim in (1, 2, 3, 5, 40, 64):
+            for _ in range(3):
+                a = random_spd(rng, dim)
+                chol = cholesky(a)
+                assert np.array_equal(chol, sla.cholesky(a, lower=True))
+                b = rng.standard_normal((dim, 3))
+                for factor in (chol, np.ascontiguousarray(chol)):
+                    assert np.array_equal(solve_triangular(factor, b),
+                                          sla.solve_triangular(factor, b, lower=True))
+                    assert np.array_equal(solve_triangular(factor, b[:, 0]),
+                                          sla.solve_triangular(factor, b[:, 0], lower=True))
+                assert np.array_equal(solve_triangular(chol.T, b, lower=False),
+                                      sla.solve_triangular(chol.T, b, lower=False))
+                sym = random_symmetric(rng, dim)
+                q, lam = sym_eigen(sym)
+                lam_ref, q_ref = sla.eigh(sym)
+                assert np.array_equal(lam, lam_ref[::-1])
+                assert np.array_equal(q, q_ref[:, ::-1])
+
+    def test_is_pd_is_a_plain_factorization(self):
+        assert is_pd(np.eye(2))
+        assert not is_pd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # cholesky would jitter this one into a factor; is_pd does not
+        assert not is_pd(np.zeros((2, 2)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestIsPsd:
