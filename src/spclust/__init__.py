@@ -10,7 +10,7 @@ distance, and arbitrary points can then be labeled by their nearest
 structure.
 """
 
-from .clustering import ClusterLabels, assign_points, dbscan, get_clustering
+from .clustering import ClusterLabels, assign_points, get_clustering
 from .engine import Diagnostics, SpcModel, SpcParams
 from .errors import (
     DimensionMismatch,
@@ -27,11 +27,9 @@ from .footprint import (
     Footprint,
     batch_footprint,
     decay_norm,
-    footprint_from_structure,
     merge_footprints,
     new_singleton,
     normalize,
-    update_weight,
 )
 from .fusion import covariance_union, fuse, pad_covariance
 from .datasets import (

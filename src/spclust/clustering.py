@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import SpcModel
 from .errors import DimensionMismatch
-from .typicality import _typicality_of_dsq, _typicality_of_dsq_many
+from .typicality import _typicality_of_dsq
 from . import linalg
 
 
@@ -30,26 +30,6 @@ class ClusterLabels:
     @property
     def n_clusters(self) -> int:
         return len(set(self.labels.values()))
-
-
-def dbscan(items, dist, epsilon: float, min_pts: int) -> list[int]:
-    """Classic DBSCAN over an explicit item list and distance function.
-
-    An item is a core point when at least min_pts items (itself included)
-    lie within epsilon. Clusters are the maximal density-connected sets;
-    border items join the first core cluster that reaches them in scan
-    order (scan order is item order). Instead of one shared noise label,
-    each unreachable item gets its own fresh cluster id after the dense
-    cluster ids.
-    """
-    n = len(items)
-    if n == 0:
-        return []
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = dist(items[i], items[j])
-    return labels_from_distances(d, epsilon, min_pts)
 
 
 def labels_from_distances(d: np.ndarray, epsilon: float, min_pts: int) -> list[int]:
@@ -112,13 +92,10 @@ def pairwise_structure_distances(factors, m: float) -> np.ndarray:
                 continue
             delta = mu_j - mu_i
             d_sq[i, j] = linalg.solve_norm_sq(chol_i, delta) if np.any(delta) else 0.0
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            u_ij = _typicality_of_dsq(d_sq[i, j], m)
-            u_ji = _typicality_of_dsq(d_sq[j, i], m)
-            dist[i, j] = dist[j, i] = 1.0 - u_ij * u_ji
-    return dist
+    # u[i, j] is structure j's mean in structure i; the product is commutative,
+    # so the matrix is bitwise symmetric with a zero diagonal
+    u = _typicality_of_dsq(d_sq, m)
+    return 1.0 - u * u.T
 
 
 def assign_points(model: SpcModel, labels: ClusterLabels, points) -> list[int]:
@@ -169,12 +146,6 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
 
 def _decision_distance_many(mu: np.ndarray, chol: np.ndarray, pts: np.ndarray,
                             m: float) -> np.ndarray:
-    deltas = pts - mu
-    zero_rows = ~np.any(deltas, axis=1)
-    if zero_rows.all():
-        d_sq = np.zeros(pts.shape[0])
-    else:
-        d_sq = linalg.solve_norm_sq_many(chol, deltas)
-        d_sq[zero_rows] = 0.0
-    u = _typicality_of_dsq_many(d_sq, m)
+    # a zero delta solves to exactly 0 under the factor's nonzero diagonal
+    u = _typicality_of_dsq(linalg.solve_norm_sq_many(chol, pts - mu), m)
     return 1.0 - u * u

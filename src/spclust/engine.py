@@ -27,8 +27,8 @@ factors are stacked too (a singleton's is the identity) and one call of
 linalg.solve_norm_sq's closed form per direction gives a whole row, bit
 for bit what structure_distance computes pair by pair. From d = 4 each
 slot keeps its own arithmetic: a dot product for unit singletons and
-triangular solves otherwise. The typicality transform stays scalar
-math, whose exp and log differ from numpy's in the last digit.
+triangular solves otherwise. Squared distances become typicalities
+through typicality's one elementwise transform, a whole row per call.
 """
 
 import math
@@ -168,23 +168,23 @@ class SpcModel:
     def update(self, x) -> None:
         """Consume one stream point."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim != 1:
-            raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
+        if x.ndim != 1 or not x.size:
+            raise DimensionMismatch(f"expected a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("stream point must be finite")
         if self.dim is None:
             self.dim = x.shape[0]
             cap = self.params.max_structures + 1
             self._mu = np.zeros((cap, self.dim))
-            if 0 < self.dim <= linalg.CLOSED_FORM_MAX_DIM:
+            if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
                 self._chol = np.zeros((self.dim, self.dim, cap))
         elif x.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[0]}")
 
         self.clock += 1
         # the singleton's distance row already holds x's typicality in every
-        # earlier structure; its own is 1
-        typicality = self._add_singleton(x) + [1.0]
+        # earlier structure
+        typicality = self._add_singleton(x)
         if self._n <= self.params.max_structures:
             return
 
@@ -207,7 +207,7 @@ class SpcModel:
             raise UnknownIdentifier(f"no structure with identifier {ident}")
         return int(hits[0])
 
-    def _add_singleton(self, x: np.ndarray) -> list[float]:
+    def _add_singleton(self, x: np.ndarray) -> np.ndarray:
         # shared read-only identity: nothing downstream mutates a spread
         # in place, and snapshot() hands out copies
         x = x.copy()
@@ -215,7 +215,7 @@ class SpcModel:
         return self._append(x, x, unit, unit, 1.0, 1, 1, 1.0)
 
     def _append(self, mean_acc, mu, sigma, chol, weight_acc, age, weight_age,
-                weight) -> list[float]:
+                weight) -> np.ndarray:
         """Fill the next slot and its column of distances to every earlier slot.
 
         Returns the typicality of the new mean in each earlier structure.
@@ -238,7 +238,7 @@ class SpcModel:
         self._n = s + 1
         self._dist[s, :s + 1] = math.inf
         if not s:
-            return []
+            return np.empty(0)
         self._dist[:s, s], typicality = self._distance_row(s)
         return typicality
 
@@ -257,7 +257,7 @@ class SpcModel:
                 del per_slot[k]
             self._n = n
 
-    def _distance_row(self, s: int) -> tuple[np.ndarray, list[float]]:
+    def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Structure distance of slot s to each earlier slot, and the
         typicality of slot s's mean in each of them.
 
@@ -271,21 +271,23 @@ class SpcModel:
             old_in_new = _closed_form_dsq(old_from_new, self._chol[..., s:s + 1])
         else:
             old_in_new = _dsq_many(self._chols[s], old_from_new)
-        u_new = [_typicality_of_dsq(v, m) for v in new_in_old]
-        u_old = [_typicality_of_dsq(v, m) for v in old_in_new.tolist()]
-        return 1.0 - np.multiply(u_old, u_new), u_new
+        u_new, u_old = _typicality_of_dsq(np.stack((new_in_old, old_in_new)), m)
+        return 1.0 - u_old * u_new, u_new
 
-    def _dsq_at(self, point: np.ndarray, slots) -> list[float]:
+    def _dsq_at(self, point: np.ndarray, slots) -> np.ndarray:
         """Squared Mahalanobis distance of point under each listed slot's spread."""
         deltas = point - self._mu[slots]
         if self._chol is not None:
-            return _closed_form_dsq(deltas, self._chol[..., slots]).tolist()
-        return [_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)]
+            return _closed_form_dsq(deltas, self._chol[..., slots])
+        return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
 
-    def _update_weights(self, typicality: list[float]) -> None:
+    def _update_weights(self, typicality: np.ndarray) -> None:
+        """Fold x's typicality into every weight; the newest slot is x itself."""
         n = self._n
         beta = self.params.beta
-        self._weight_acc[:n] = math.exp(-beta) * self._weight_acc[:n] + typicality
+        self._weight_acc[:n] *= math.exp(-beta)
+        self._weight_acc[:n - 1] += typicality
+        self._weight_acc[n - 1] += 1.0
         self._weight_age[:n] += 1
         norms = [decay_norm(age, beta) for age in self._weight_age[:n].tolist()]
         # a damped average of typicalities is at most one; the recursive
@@ -305,7 +307,7 @@ class SpcModel:
             targets = np.flatnonzero(~np.isin(self._ids[:self._n], candidates))
             best = None
             if targets.size:
-                nlt = [_nlt_of_dsq(v, m) for v in self._dsq_at(self._mu[cand], targets)]
+                nlt = _nlt_of_dsq(self._dsq_at(self._mu[cand], targets), m)
                 k = int(np.argmin(nlt))
                 if nlt[k] < self.params.nlt_max:
                     best = int(targets[k])

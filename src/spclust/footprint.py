@@ -13,13 +13,13 @@ its mean and scatter change only through merges.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch
-from .typicality import Structure, _typicality_of_dsq_many
+from .typicality import Structure, _check_fuzzifier, _typicality_of_dsq
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,6 @@ def normalize(f: Footprint, rates: DecayRates) -> Structure:
     )
 
 
-def footprint_from_structure(s: Structure, rates: DecayRates) -> Footprint:
-    """Inverse of normalize: rebuild accumulators from a normalized view."""
-    g = decay_norm(s.age, rates.gamma)
-    b = decay_norm(s.age, rates.beta)
-    return Footprint(
-        mean_acc=s.mu * g,
-        scatter_acc=s.sigma * g,
-        weight_acc=s.weight * b,
-        age=s.age,
-        weight_age=s.age,
-    )
-
-
 def merge_footprints(f1: Footprint, f2: Footprint, rates: DecayRates) -> Footprint:
     """Combine two footprints, with f1 the older structure by convention.
 
@@ -126,17 +113,6 @@ def merge_footprints(f1: Footprint, f2: Footprint, rates: DecayRates) -> Footpri
     )
 
 
-def update_weight(f: Footprint, u: float, rates: DecayRates) -> Footprint:
-    """Fold one new typicality observation u in [0, 1] into the weight sum."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"typicality weight must lie in [0, 1], got {u}")
-    return replace(
-        f,
-        weight_acc=math.exp(-rates.beta) * f.weight_acc + u,
-        weight_age=f.weight_age + 1,
-    )
-
-
 def batch_footprint(points, rates: DecayRates, m: float) -> Structure:
     """Direct damped-window statistics over an in-memory point list.
 
@@ -150,6 +126,7 @@ def batch_footprint(points, rates: DecayRates, m: float) -> Structure:
     Note the one-point scatter is the zero matrix here, whereas the
     streaming path seeds new structures with identity spread.
     """
+    _check_fuzzifier(m)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -180,7 +157,7 @@ def batch_footprint(points, rates: DecayRates, m: float) -> Structure:
     else:
         d_sq = linalg.solve_norm_sq_many(linalg.cholesky(sigma), deltas)
         d_sq[zero_rows] = 0.0
-    u = _typicality_of_dsq_many(d_sq, m)
+    u = _typicality_of_dsq(d_sq, m)
     w_weights = np.exp(-rates.beta * np.arange(n - 1, -1, -1, dtype=float))
     w = float(w_weights @ u) / decay_norm(n, rates.beta)
 

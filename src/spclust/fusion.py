@@ -83,29 +83,18 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return 0.5 * (fused + fused.T)
 
 
-# Slack allowed when certifying the spread floor of the factored side in
-# union_absorbing_unit; eigenvalue clamping error stays below this.
-_FLOOR_SLACK = 1e-10
-
-
-def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray,
-                         assume_floor: bool = False) -> np.ndarray | None:
+def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray) -> np.ndarray | None:
     """covariance_union(I + offset offset', u2) without a dense eigensolve.
 
-    When u2 dominates the identity, the whitened matrix is an
-    identity-like base plus one rank-one bump, so at most one eigenvalue
-    can exceed the clamp; that eigenpair is found with a Lanczos solve
-    against the Cholesky factor. Returns None when the certificate or the
-    iteration fails, in which case the caller should use the dense path.
-
-    assume_floor skips the spread-floor certificate; pass it only when
-    u2 >= (1 - 1e-10) I is structurally guaranteed (the streaming engine
-    maintains this for every structure by construction).
+    Requires u2 to dominate the identity (u2 - I positive semidefinite),
+    which is not checked: the whitened matrix is then an identity-like
+    base plus one rank-one bump, so at most one eigenvalue can exceed the
+    clamp; that eigenpair is found with a Lanczos solve against the
+    Cholesky factor. Returns None when the factorization or the iteration
+    fails, in which case the caller should use the dense path.
     """
     dim = u2.shape[0]
     if dim < 2:
-        return None
-    if not assume_floor and not linalg.is_pd(u2 - (1.0 - _FLOOR_SLACK) * np.eye(dim)):
         return None
 
     try:
@@ -116,7 +105,7 @@ def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray,
 
     def matvec(v):
         # base term L^-1 L^-T v: same spectrum as u2^-1, so the spread
-        # floor certificate bounds all but the rank-one bump below one
+        # floor bounds all but the rank-one bump below one
         y = linalg.solve_triangular(chol_old.T, v, lower=False)
         y = linalg.solve_triangular(chol_old, y)
         return y + q * (q @ v)
@@ -147,7 +136,7 @@ def fuse(mu_old: np.ndarray, sigma_old: np.ndarray, mu_new: np.ndarray,
     if mu.shape[0] >= _FAST_UNION_MIN_DIM and sigma_new is unit_spread(mu.shape[0]):
         # every engine structure satisfies sigma >= identity: singletons
         # start there, unions only grow, pooled merges are convex
-        sigma = union_absorbing_unit(padded_old, mu - mu_new, assume_floor=True)
+        sigma = union_absorbing_unit(padded_old, mu - mu_new)
         if sigma is not None:
             return sigma
     padded_new = pad_covariance(sigma_new, mu_new, mu)

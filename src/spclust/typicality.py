@@ -6,7 +6,6 @@ membership falls off with distance. Unlike probabilities, typicalities
 of one point across several structures need not sum to one.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,21 +43,28 @@ def _check_fuzzifier(m: float) -> None:
         raise ValueError(f"fuzzifier must be > 1, got {m}")
 
 
-def _powered(d_sq: float, m: float) -> float:
-    """d_sq^(1/(m-1)) evaluated as exp(log(d_sq)/(m-1)); 0 maps to 0."""
-    if d_sq <= 0.0:
-        return 0.0
-    try:
-        return math.exp(math.log(d_sq) / (m - 1.0))
-    except OverflowError:
-        return math.inf
+def _powered(d_sq, m: float) -> np.ndarray:
+    """d_sq^(1/(m-1)) elementwise as exp(log(d_sq)/(m-1)); 0 maps to 0.
+
+    The one transform behind every typicality: numpy's exp and log give
+    the same bits for a scalar, a single element and any slice of a
+    batch, so a value computed alone equals the same value computed
+    within an array.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(np.log(d_sq) / (m - 1.0))
 
 
-def _typicality_of_dsq(d_sq: float, m: float) -> float:
+def _typicality_of_dsq(d_sq, m: float) -> np.ndarray:
+    """Typicality elementwise over squared distances."""
     z = _powered(d_sq, m)
-    if z > _OVERFLOW:
-        return 0.0
-    return 1.0 / (1.0 + z)
+    return np.where(z > _OVERFLOW, 0.0, 1.0 / (1.0 + z))
+
+
+def _nlt_of_dsq(d_sq, m: float) -> np.ndarray:
+    """Negative log typicality elementwise over squared distances."""
+    z = _powered(d_sq, m)
+    return np.where(z > _OVERFLOW, NLT_CEILING, np.log1p(z))
 
 
 def typicality_spherical(d_sq: float, eta: float, m: float) -> float:
@@ -71,13 +77,15 @@ def typicality_spherical(d_sq: float, eta: float, m: float) -> float:
     _check_fuzzifier(m)
     if eta <= 0.0:
         raise ValueError(f"scale eta must be positive, got {eta}")
-    return _typicality_of_dsq(d_sq / eta, m)
+    if d_sq < 0.0:
+        raise ValueError(f"squared distance must be nonnegative, got {d_sq}")
+    return float(_typicality_of_dsq(d_sq / eta, m))
 
 
 def typicality(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, m: float) -> float:
     """Typicality of point x in a structure with mean mu and spread sigma."""
     _check_fuzzifier(m)
-    return _typicality_of_dsq(linalg.mahalanobis_sq(x, mu, sigma), m)
+    return float(_typicality_of_dsq(linalg.mahalanobis_sq(x, mu, sigma), m))
 
 
 def nlt(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, m: float) -> float:
@@ -87,14 +95,7 @@ def nlt(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray, m: float) -> float:
     do not underflow; the overflow guard returns NLT_CEILING.
     """
     _check_fuzzifier(m)
-    return _nlt_of_dsq(linalg.mahalanobis_sq(x, mu, sigma), m)
-
-
-def _nlt_of_dsq(d_sq: float, m: float) -> float:
-    z = _powered(d_sq, m)
-    if z > _OVERFLOW:
-        return NLT_CEILING
-    return math.log1p(z)
+    return float(_nlt_of_dsq(linalg.mahalanobis_sq(x, mu, sigma), m))
 
 
 def structure_distance(s1: Structure, s2: Structure, m: float) -> float:
@@ -117,17 +118,3 @@ def decision_distance(s: Structure, x: np.ndarray, m: float) -> float:
     """
     u = typicality(x, s.mu, s.sigma, m)
     return 1.0 - u * u
-
-
-def _typicality_of_dsq_many(d_sq: np.ndarray, m: float) -> np.ndarray:
-    """Vectorized typicality over an array of squared distances."""
-    _check_fuzzifier(m)
-    d_sq = np.asarray(d_sq, dtype=float)
-    out = np.ones_like(d_sq)
-    pos = d_sq > 0.0
-    with np.errstate(over="ignore"):
-        z = np.exp(np.log(d_sq[pos]) / (m - 1.0))
-    u = 1.0 / (1.0 + z)
-    u[z > _OVERFLOW] = 0.0
-    out[pos] = u
-    return out

@@ -18,7 +18,7 @@ import pytest
 import spclust as sp
 from spclust.clustering import labels_from_distances
 from spclust.footprint import DecayRates, Footprint, batch_footprint, decay_norm, \
-    footprint_from_structure, merge_footprints, normalize
+    merge_footprints, normalize
 from spclust.fusion import covariance_union
 from spclust.linalg import is_psd
 
@@ -75,12 +75,12 @@ def test_01_footprint_merge_mean_matches_batch():
         # spot-check the shortcut accumulators against the public batch API
         for split in rng.integers(1, n, size=3):
             split = int(split)
-            fa_api = footprint_from_structure(
-                batch_footprint(pts[:split], rates, m=1.5), rates)
-            assert np.allclose(fa_api.mean_acc, prefix_mean[split], rtol=1e-9, atol=1e-12)
-            fb_api = footprint_from_structure(
-                batch_footprint(pts[split:], rates, m=1.5), rates)
-            assert np.allclose(fb_api.mean_acc, suffix_mean[split], rtol=1e-9, atol=1e-12)
+            fa_acc = batch_footprint(pts[:split], rates, m=1.5).mu * decay_norm(split, gamma)
+            assert np.allclose(fa_acc, prefix_mean[split], rtol=1e-9, atol=1e-12)
+            fb_acc = batch_footprint(pts[split:], rates, m=1.5).mu * decay_norm(n - split, gamma)
+            assert np.allclose(fb_acc, suffix_mean[split], rtol=1e-9, atol=1e-12)
+            fa_api = Footprint(fa_acc, zero_scatter, float(split), split, split)
+            fb_api = Footprint(fb_acc, zero_scatter, float(n - split), n - split, n - split)
             merged = normalize(merge_footprints(fa_api, fb_api, rates), rates)
             assert np.allclose(merged.mu, full_mu, rtol=1e-8, atol=1e-10)
 

@@ -4,7 +4,6 @@ import pytest
 from spclust.clustering import (
     assign_points,
     assign_with_distances,
-    dbscan,
     get_clustering,
     labels_from_distances,
     pairwise_structure_distances,
@@ -45,32 +44,37 @@ def labels_to_core_partition(labels, core_set):
     return {frozenset(g) for g in groups.values()}
 
 
+def matrix_of(n, dist):
+    """Symmetric distance matrix of items 0..n-1, zero on the diagonal."""
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = dist(i, j)
+    return d
+
+
 class TestDbscan:
     def test_two_tight_groups_beyond_epsilon(self):
         # 5 co-located items per group, mutual distance 0.99 across groups
-        def dist(a, b):
-            return 0.0 if (a < 5) == (b < 5) else 0.99
-
-        labels = dbscan(list(range(10)), dist, epsilon=0.95, min_pts=2)
+        d = matrix_of(10, lambda a, b: 0.0 if (a < 5) == (b < 5) else 0.99)
+        labels = labels_from_distances(d, epsilon=0.95, min_pts=2)
         assert len(set(labels)) == 2
         assert len(set(labels[:5])) == 1
         assert len(set(labels[5:])) == 1
 
     def test_all_identical_is_one_cluster(self):
-        labels = dbscan(list(range(7)), lambda a, b: 0.0, epsilon=0.5, min_pts=3)
+        labels = labels_from_distances(np.zeros((7, 7)), epsilon=0.5, min_pts=3)
         assert set(labels) == {0}
 
     def test_isolated_item_gets_singleton_label(self):
-        def dist(a, b):
-            return 0.0 if a < 2 and b < 2 else 10.0
-
-        labels = dbscan(list(range(3)), dist, epsilon=1.0, min_pts=2)
+        d = matrix_of(3, lambda a, b: 0.0 if a < 2 and b < 2 else 10.0)
+        labels = labels_from_distances(d, epsilon=1.0, min_pts=2)
         assert labels[0] == labels[1]
         assert labels[2] not in (labels[0],)
         assert len(set(labels)) == 2
 
     def test_empty_input(self):
-        assert dbscan([], lambda a, b: 0.0, 1.0, 2) == []
+        assert labels_from_distances(np.zeros((0, 0)), 1.0, 2) == []
 
     def test_core_partition_matches_oracle_randomized(self):
         rng = np.random.default_rng(21)

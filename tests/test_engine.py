@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from spclust.clustering import dbscan, get_clustering, assign_points
+from spclust.clustering import assign_points, get_clustering, labels_from_distances
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import DimensionMismatch, UnknownIdentifier
+from spclust.footprint import decay_norm
 from spclust.metrics import purity
 
 
@@ -101,6 +104,51 @@ class TestRepeatedPoint:
         # every structure keeps seeing perfectly typical points
         for s in model.snapshot():
             assert s.weight == pytest.approx(1.0)
+
+
+def origin_weights(beta):
+    """Weights of a unit structure at the origin after points of typicality
+    0.4 and then 0.1 in it (m = 2).
+
+    Anchors at squared distance 1.5 and 9 from the origin give those
+    typicalities; streaming an anchor merges it into its twin, so the
+    origin's structure keeps its mean, spread and age throughout.
+    """
+    anchors = np.array([[np.sqrt(1.5), 0.0], [-3.0, 0.0]])
+    model = SpcModel(SpcParams(max_structures=3, m=2.0, beta=beta))
+    for x in (np.zeros(2), *anchors):
+        model.update(x)
+    weights = []
+    for x in anchors:
+        model.update(x)
+        origin = model.snapshot()[0]
+        assert np.array_equal(origin.mu, np.zeros(2))
+        assert np.array_equal(origin.sigma, np.eye(2))
+        assert origin.age == 1
+        weights.append(origin.weight)
+    return weights
+
+
+class TestWeightUpdate:
+    def test_zero_decay_running_average(self):
+        assert origin_weights(0.0) == pytest.approx([(1.0 + 0.4) / 2.0,
+                                                     (1.0 + 0.4 + 0.1) / 3.0])
+
+    def test_damped_average(self):
+        beta = 0.2
+        d = math.exp(-beta)
+        assert origin_weights(beta) == pytest.approx([
+            (d + 0.4) / decay_norm(2, beta),
+            (d * d + d * 0.4 + 0.1) / decay_norm(3, beta),
+        ])
+
+    def test_atypical_point_halves_weight(self):
+        # an overflowing distance has typicality exactly 0
+        model = SpcModel(SpcParams(max_structures=2, m=1.001))
+        far = np.array([1e150, 0.0])
+        for x in (np.zeros(2), far, far):
+            model.update(x)
+        assert model.snapshot()[0].weight == 0.5
 
 
 class TestDeterminism:
@@ -279,6 +327,17 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             model.update([np.nan, 0.0])
 
+    def test_zero_length_point_rejected_before_any_change(self):
+        model = SpcModel(SpcParams(max_structures=2))
+        for _ in range(5):
+            with pytest.raises(DimensionMismatch):
+                model.update([])
+        assert (len(model), model.clock, model.dim, model.ids()) == (0, 0, None, [])
+        assert model.diagnostics.as_dict() == {"merges": 0, "prunes": 0, "deletions": 0,
+                                               "cu_fallbacks": 0}
+        model.update([1.0, 2.0])
+        assert model.dim == 2
+
     def test_empty_snapshot(self):
         model = SpcModel(SpcParams(max_structures=3))
         assert model.snapshot() == []
@@ -303,10 +362,8 @@ class TestTwoBlobsEndToEnd:
 
         # oracle: DBSCAN over the raw points with Euclidean distance finds
         # exactly the two blobs
-        idx = list(range(len(pts)))
-        oracle = np.asarray(dbscan(
-            idx, lambda a, b: float(np.linalg.norm(pts[a] - pts[b])), 1.0, 5
-        ))
+        euclidean = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        oracle = np.asarray(labels_from_distances(euclidean, 1.0, 5))
         counts = np.bincount(oracle)
         blob_labels = np.flatnonzero(counts >= 5)
         assert len(blob_labels) == 2

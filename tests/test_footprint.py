@@ -3,19 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from spclust.engine import SpcModel, SpcParams
 from spclust.errors import DimensionMismatch
 from spclust.footprint import (
     DecayRates,
+    Footprint,
     batch_footprint,
     decay_norm,
-    footprint_from_structure,
     merge_footprints,
     new_singleton,
     normalize,
-    update_weight,
 )
 
 NO_DECAY = DecayRates()
+
+
+def footprint_of(points, rates, m=1.5):
+    """Accumulators whose normalized view is batch_footprint's statistics."""
+    s = batch_footprint(points, rates, m=m)
+    g = decay_norm(s.age, rates.gamma)
+    return Footprint(mean_acc=s.mu * g, scatter_acc=s.sigma * g,
+                     weight_acc=s.weight * decay_norm(s.age, rates.beta),
+                     age=s.age, weight_age=s.age)
 
 
 class TestDecayNorm:
@@ -80,8 +89,9 @@ class TestNormalize:
     def test_roundtrip_with_footprint_from_structure(self):
         rng = np.random.default_rng(6)
         rates = DecayRates(0.05, 0.01)
-        s = batch_footprint(rng.standard_normal((15, 2)), rates, m=1.7)
-        back = normalize(footprint_from_structure(s, rates), rates)
+        pts = rng.standard_normal((15, 2))
+        s = batch_footprint(pts, rates, m=1.7)
+        back = normalize(footprint_of(pts, rates, m=1.7), rates)
         assert np.allclose(back.mu, s.mu)
         assert np.allclose(back.sigma, s.sigma)
         assert back.weight == pytest.approx(s.weight)
@@ -128,36 +138,30 @@ class TestMergeFootprints:
             pts = rng.standard_normal((40, 3))
             full = batch_footprint(pts, rates, m=1.5)
             for split in (1, 7, 20, 39):
-                fa = footprint_from_structure(batch_footprint(pts[:split], rates, m=1.5), rates)
-                fb = footprint_from_structure(batch_footprint(pts[split:], rates, m=1.5), rates)
+                fa = footprint_of(pts[:split], rates)
+                fb = footprint_of(pts[split:], rates)
                 merged = normalize(merge_footprints(fa, fb, rates), rates)
                 assert np.allclose(merged.mu, full.mu, rtol=1e-10, atol=1e-12)
                 assert merged.age == full.age
 
     def test_self_merge_keeps_mean_and_weight(self):
-        f = footprint_from_structure(
-            batch_footprint(np.array([[1.0, 2.0]] * 4), NO_DECAY, m=1.5), NO_DECAY
-        )
+        f = footprint_of(np.array([[1.0, 2.0]] * 4), NO_DECAY)
         merged = normalize(merge_footprints(f, f, NO_DECAY), NO_DECAY)
         assert np.allclose(merged.mu, [1.0, 2.0])
         assert merged.weight == pytest.approx(normalize(f, NO_DECAY).weight)
         assert merged.age == 8
 
     def test_zero_decay_weighted_mean(self):
-        fa = footprint_from_structure(
-            batch_footprint(np.zeros((3, 2)), NO_DECAY, m=1.5), NO_DECAY
-        )
-        fb = footprint_from_structure(
-            batch_footprint(np.full((1, 2), 4.0), NO_DECAY, m=1.5), NO_DECAY
-        )
+        fa = footprint_of(np.zeros((3, 2)), NO_DECAY)
+        fb = footprint_of(np.full((1, 2), 4.0), NO_DECAY)
         merged = normalize(merge_footprints(fa, fb, NO_DECAY), NO_DECAY)
         assert np.allclose(merged.mu, [1.0, 1.0])  # (3*0 + 1*4) / 4
 
     def test_scatter_accumulator_composition_is_literal(self):
         rng = np.random.default_rng(12)
         rates = DecayRates(gamma=0.2)
-        fa = footprint_from_structure(batch_footprint(rng.standard_normal((5, 2)), rates, 1.5), rates)
-        fb = footprint_from_structure(batch_footprint(rng.standard_normal((3, 2)), rates, 1.5), rates)
+        fa = footprint_of(rng.standard_normal((5, 2)), rates)
+        fb = footprint_of(rng.standard_normal((3, 2)), rates)
         merged = merge_footprints(fa, fb, rates)
         expected = math.exp(-rates.gamma * fb.age) * fa.scatter_acc + fb.scatter_acc
         assert np.array_equal(merged.scatter_acc, expected)
@@ -173,12 +177,9 @@ class TestMergeFootprints:
             head = batch_footprint(prefix, rates, m=1.5)
             suffix = np.tile(head.mu, (4, 1))
             full = batch_footprint(np.vstack([prefix, suffix]), rates, m=1.5)
-            merged = footprint_from_structure(head, rates)
+            merged = footprint_of(prefix, rates)
             for point in suffix:
-                single = footprint_from_structure(
-                    batch_footprint(point[None, :], rates, m=1.5), rates
-                )
-                merged = merge_footprints(merged, single, rates)
+                merged = merge_footprints(merged, footprint_of(point[None, :], rates), rates)
             result = normalize(merged, rates)
             assert np.allclose(result.sigma, full.sigma, atol=1e-12)
             assert np.allclose(result.mu, full.mu, atol=1e-12)
@@ -188,44 +189,62 @@ class TestMergeFootprints:
             merge_footprints(new_singleton(np.zeros(2)), new_singleton(np.zeros(3)), NO_DECAY)
 
 
+
+def origin_after_anchors(beta):
+    """Snapshots of a unit structure at the origin, before and after each
+    point of typicality 0.4 and then 0.1 in it (m = 2).
+
+    Anchors at squared distance 1.5 and 9 from the origin give those
+    typicalities; streaming an anchor merges it into its twin, so only the
+    weights of the structures take up the new point.
+    """
+    anchors = np.array([[np.sqrt(1.5), 0.0], [-3.0, 0.0]])
+    model = SpcModel(SpcParams(max_structures=3, m=2.0, beta=beta))
+    for x in (np.zeros(2), *anchors):
+        model.update(x)
+    steps = []
+    for x in anchors:
+        before = model.snapshot()[0]
+        model.update(x)
+        steps.append((before, model.snapshot()[0]))
+    return steps
+
+
 class TestUpdateWeight:
+    """The streaming weight update: a damped average of the typicalities of
+    every point seen since a structure's creation, folded in per step."""
+
     def test_fully_typical_stream_keeps_weight_one(self):
-        rates = DecayRates(beta=0.3)
-        f = new_singleton(np.zeros(2))
+        model = SpcModel(SpcParams(max_structures=2, beta=0.3))
         for _ in range(10):
-            f = update_weight(f, 1.0, rates)
-            assert normalize(f, rates).weight == pytest.approx(1.0)
+            model.update(np.zeros(2))
+            for s in model.snapshot():
+                assert s.weight == pytest.approx(1.0)
 
     def test_zero_decay_running_average(self):
-        rates = DecayRates(beta=0.0)
-        f = new_singleton(np.zeros(1))
-        f = update_weight(f, 0.4, rates)
-        assert normalize(f, rates).weight == pytest.approx((1.0 + 0.4) / 2.0)
-        f = update_weight(f, 0.1, rates)
-        assert normalize(f, rates).weight == pytest.approx((1.0 + 0.4 + 0.1) / 3.0)
+        weights = [after.weight for _, after in origin_after_anchors(0.0)]
+        assert weights == pytest.approx([(1.0 + 0.4) / 2.0, (1.0 + 0.4 + 0.1) / 3.0])
 
     def test_hand_case_halves(self):
-        f = update_weight(new_singleton(np.zeros(1)), 0.0, DecayRates(beta=0.0))
-        assert normalize(f, DecayRates(beta=0.0)).weight == pytest.approx(0.5)
+        # an overflowing distance has typicality exactly 0
+        model = SpcModel(SpcParams(max_structures=2, m=1.001, beta=0.0))
+        far = np.array([1e150, 0.0])
+        for x in (np.zeros(2), far, far):
+            model.update(x)
+        assert model.snapshot()[0].weight == pytest.approx(0.5)
 
     def test_weight_stays_in_unit_interval(self):
         rng = np.random.default_rng(16)
         for beta in (0.0, 0.05, 1.0):
-            rates = DecayRates(beta=beta)
-            f = new_singleton(np.zeros(2))
+            model = SpcModel(SpcParams(max_structures=5, beta=beta))
             for _ in range(200):
-                f = update_weight(f, float(rng.random()), rates)
-                w = normalize(f, rates).weight
-                assert 0.0 <= w <= 1.0 + 1e-9
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            update_weight(new_singleton(np.zeros(1)), 1.5, NO_DECAY)
+                model.update(rng.standard_normal(2))
+                for s in model.snapshot():
+                    assert 0.0 <= s.weight <= 1.0 + 1e-9
 
     def test_mean_and_scatter_untouched(self):
-        f = new_singleton(np.array([1.0, 2.0]))
-        g = update_weight(f, 0.2, DecayRates(beta=0.1))
-        assert np.array_equal(f.mean_acc, g.mean_acc)
-        assert np.array_equal(f.scatter_acc, g.scatter_acc)
-        assert g.age == f.age
-        assert g.weight_age == f.weight_age + 1
+        for before, after in origin_after_anchors(0.1):
+            assert np.array_equal(before.mu, after.mu)
+            assert np.array_equal(before.sigma, after.sigma)
+            assert after.age == before.age
+            assert after.weight != before.weight

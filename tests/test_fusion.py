@@ -107,7 +107,7 @@ class TestUnionAbsorbingUnit:
         for dim in (2, 3, 8, 40):
             for _ in range(20):
                 base = random_spd(rng, dim)
-                u2 = base + np.eye(dim)  # spread floor certificate holds
+                u2 = base + np.eye(dim)  # dominates the identity, as required
                 offset = rng.standard_normal(dim) * rng.uniform(0.0, 3.0)
                 u1 = np.eye(dim) + np.outer(offset, offset)
                 fast = union_absorbing_unit(u2, offset)
@@ -116,9 +116,6 @@ class TestUnionAbsorbingUnit:
                 assert np.allclose(fast, dense, rtol=1e-7, atol=1e-9)
                 assert is_psd(fast - u1, 1e-8)
                 assert is_psd(fast - u2, 1e-8)
-
-    def test_rejects_u2_below_identity(self):
-        assert union_absorbing_unit(0.5 * np.eye(3), np.ones(3)) is None
 
     def test_zero_offset_returns_u2(self):
         rng = np.random.default_rng(17)

@@ -27,7 +27,7 @@ def _streams(dims, max_len):
         "m": st.floats(1.2, 3.0),
         "w_min": st.sampled_from([0.01, 0.5, 0.9]),
         "nlt_max": st.sampled_from([0.5, 3.0]),
-        "scale": st.sampled_from([0.1, 1.0, 10.0]),
+        "scale": st.sampled_from([1e-8, 0.1, 1.0, 10.0, 1e8]),
         "seed": st.integers(0, 2**32 - 1),
         "pool": st.integers(1, 8),
         "picks": st.lists(st.integers(0, 7), min_size=1, max_size=max_len),

@@ -7,6 +7,8 @@ from spclust.errors import NotPositiveDefinite
 from spclust.typicality import (
     NLT_CEILING,
     Structure,
+    _nlt_of_dsq,
+    _typicality_of_dsq,
     decision_distance,
     nlt,
     structure_distance,
@@ -37,6 +39,8 @@ class TestSpherical:
             typicality_spherical(1.0, 0.0, 1.5)
         with pytest.raises(ValueError):
             typicality_spherical(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            typicality_spherical(-1.0, 1.0, 1.5)
 
 
 class TestTypicality:
@@ -168,3 +172,30 @@ class TestDecisionDistance:
             dists = [decision_distance(t, s.mu, 1.5) for t in structures]
             assert dists[i] == 0.0
             assert all(dists[j] > 0.0 for j in range(len(structures)) if j != i)
+
+
+class TestOneTransform:
+    """The engine, the offline step and structure_distance evaluate the
+    transform on rows, matrices and single values; their bitwise agreement
+    rests on every form of input giving the same bits."""
+
+    def test_same_bits_alone_strided_and_in_a_batch(self):
+        rng = np.random.default_rng(47)
+        d_sq = np.concatenate([[0.0, 1.0], 10.0 ** rng.uniform(-12.0, 12.0, 2998),
+                               [1e300, np.inf]])
+        for m in (1.05, 1.4, 1.5, 2.0, 3.0):
+            for transform in (_typicality_of_dsq, _nlt_of_dsq):
+                batch = transform(d_sq, m)
+                assert np.array_equal(transform(d_sq[::3], m), batch[::3])
+                square = d_sq[:3000].reshape(60, 50)
+                assert np.array_equal(transform(square.T, m), batch[:3000].reshape(60, 50).T)
+                for k in range(0, d_sq.size, 17):
+                    value = batch[k]
+                    assert transform(float(d_sq[k]), m) == value
+                    assert transform(np.array(d_sq[k]), m) == value
+                    assert transform(d_sq[k:k + 1], m)[0] == value
+
+    def test_zero_and_overflow_map_to_the_ends(self):
+        d_sq = np.array([0.0, 1e300, np.inf])
+        assert _typicality_of_dsq(d_sq, 1.001).tolist() == [1.0, 0.0, 0.0]
+        assert _nlt_of_dsq(d_sq, 1.001).tolist() == [0.0, NLT_CEILING, NLT_CEILING]
