@@ -22,15 +22,6 @@ from .errors import (
     SpcError,
     UnknownIdentifier,
 )
-from .footprint import (
-    DecayRates,
-    Footprint,
-    batch_footprint,
-    decay_norm,
-    merge_footprints,
-    new_singleton,
-    normalize,
-)
 from .fusion import covariance_union, fuse, pad_covariance
 from .datasets import (
     LabeledPoint,

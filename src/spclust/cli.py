@@ -196,19 +196,15 @@ def _build_stream(config: RunConfig):
     return build_stream(spec)
 
 
-def _parse_columns(spec):
-    if spec is None:
-        return None
+def _parse_columns(spec: str) -> list:
     return [_parse_column(c) for c in spec.split(",")]
 
 
-def _parse_column(spec):
-    if spec is None:
-        return None
-    spec = spec.strip() if isinstance(spec, str) else spec
+def _parse_column(spec: str):
+    spec = spec.strip()
     try:
         return int(spec)
-    except (TypeError, ValueError):
+    except ValueError:
         return spec
 
 

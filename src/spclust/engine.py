@@ -7,6 +7,22 @@ structures are pruned (merged into their best-fitting peer when one is
 close enough on the log-typicality scale, deleted otherwise), and if the
 store is still over budget the two most similar structures are merged.
 
+Each structure is a damped-window footprint. Its mean and weight are
+kept as un-normalized damped sums (accumulators) and divided by the
+closed-form window normalizer decay_norm only for the normalized view.
+This is the damped-window generalization of classic running sums and
+the stable way to compose merges: accumulators only ever get shifted
+and added. A merge shifts the older
+structure's accumulators back by the younger one's window length and
+adds the younger one's, which is the damped sum over both windows in
+closed form. Spreads are kept normalized instead: a merge takes the
+covariance union of the two padded spreads (fusion.fuse) and pools the
+damped scatters only when that union fails. The two sums keep separate
+clocks: the mean (and spread) window is the structure's age, one step
+per absorbed point, while the weight window advances on every weight
+update, since a structure's weight is refreshed for every incoming
+stream point while its mean and spread change only through merges.
+
 The store keeps N + 1 slots: stacked means, weight accumulators,
 weights, ages, weight ages and ids as arrays, a dense pairwise distance
 matrix, and per slot its mean and lower Cholesky factor (both
@@ -38,8 +54,20 @@ import numpy as np
 
 from . import fusion, linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, UnknownIdentifier
-from .footprint import decay_norm
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
+
+
+def decay_norm(steps: int, rate: float) -> float:
+    """Damped-window normalizer: sum of e^(-rate * k) for k = 0..steps-1.
+
+    Closed form (1 - e^(-rate*steps)) / (1 - e^(-rate)), evaluated with
+    expm1 so it degrades gracefully to ``steps`` as rate -> 0.
+    """
+    if steps < 1:
+        raise ValueError(f"window length must be >= 1, got {steps}")
+    if rate == 0.0:
+        return float(steps)
+    return math.expm1(-rate * steps) / math.expm1(-rate)
 
 
 @dataclass(frozen=True)

@@ -155,14 +155,6 @@ def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     return solve_norm_sq(cholesky(sigma), delta)
 
 
-def is_psd(a: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff the smallest eigenvalue of symmetric a is >= -tol."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return True
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
-
-
 def _finite(a) -> np.ndarray:
     """a as a float array; raises ValueError on infs and NaNs, as scipy does."""
     a = np.asarray(a, dtype=float)

@@ -17,10 +17,10 @@ import pytest
 
 import spclust as sp
 from spclust.clustering import labels_from_distances
-from spclust.footprint import DecayRates, Footprint, batch_footprint, decay_norm, \
-    merge_footprints, normalize
+from spclust.engine import decay_norm
 from spclust.fusion import covariance_union
-from spclust.linalg import is_psd
+
+from oracles import batch_footprint, folded, is_psd
 
 
 def _report(num, name, ok, detail=""):
@@ -45,47 +45,23 @@ def test_01_footprint_merge_mean_matches_batch():
     worst = 0.0
     for _ in range(100):
         gamma = float(rng.choice([0.0, 0.01, 0.1]))
-        rates = DecayRates(gamma=gamma)
         n = int(rng.integers(2, 201))
         dim = int(rng.integers(1, 6))
         pts = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+        # the older structure leads a merge, so the prefix is the longer part
+        split = int(rng.integers((n + 1) // 2, n))
 
-        # damped mean accumulators after every prefix/suffix, one pass each;
-        # only the mean path is under test, so scatter slots stay zero
-        decay = math.exp(-gamma)
-        prefix_mean = np.zeros((n + 1, dim))
-        for t in range(n):
-            prefix_mean[t + 1] = decay * prefix_mean[t] + pts[t]
-        suffix_mean = np.zeros((n + 1, dim))
-        for t in range(n - 1, -1, -1):
-            suffix_mean[t] = suffix_mean[t + 1] + math.exp(-gamma * (n - 1 - t)) * pts[t]
-
-        zero_scatter = np.zeros((dim, dim))
-        full_mu = prefix_mean[n] / decay_norm(n, gamma)
+        model = folded([pts[:split], pts[split:]], gamma)
+        model.merge_structures(*model.ids())
+        (merged,) = model.snapshot()
+        full_mu = batch_footprint(pts, m=1.5, gamma=gamma).mu
         scale = max(float(np.linalg.norm(full_mu)), 1e-12)
-        for split in range(1, n):
-            fa = Footprint(prefix_mean[split], zero_scatter, float(split),
-                           split, split)
-            fb = Footprint(suffix_mean[split], zero_scatter, float(n - split),
-                           n - split, n - split)
-            merged = merge_footprints(fa, fb, rates)
-            mu = merged.mean_acc / decay_norm(n, gamma)
-            worst = max(worst, float(np.linalg.norm(mu - full_mu)) / scale)
-
-        # spot-check the shortcut accumulators against the public batch API
-        for split in rng.integers(1, n, size=3):
-            split = int(split)
-            fa_acc = batch_footprint(pts[:split], rates, m=1.5).mu * decay_norm(split, gamma)
-            assert np.allclose(fa_acc, prefix_mean[split], rtol=1e-9, atol=1e-12)
-            fb_acc = batch_footprint(pts[split:], rates, m=1.5).mu * decay_norm(n - split, gamma)
-            assert np.allclose(fb_acc, suffix_mean[split], rtol=1e-9, atol=1e-12)
-            fa_api = Footprint(fa_acc, zero_scatter, float(split), split, split)
-            fb_api = Footprint(fb_acc, zero_scatter, float(n - split), n - split, n - split)
-            merged = normalize(merge_footprints(fa_api, fb_api, rates), rates)
-            assert np.allclose(merged.mu, full_mu, rtol=1e-8, atol=1e-10)
+        worst = max(worst, float(np.linalg.norm(merged.mu - full_mu)) / scale)
+        assert merged.age == n
+        assert merged.weight == 1.0
 
     elapsed = time.perf_counter() - t0
-    _report(1, "footprint merge reproduces batch means", worst < 1e-8 and elapsed < 5.0,
+    _report(1, "engine merge reproduces batch damped means", worst < 1e-8 and elapsed < 5.0,
             f"(worst rel err {worst:.2e}, {elapsed:.2f}s)")
 
 
@@ -95,7 +71,7 @@ def test_02_zero_decay_reduces_to_arithmetic_mean():
     for _ in range(50):
         n = int(rng.integers(1, 150))
         pts = rng.standard_normal((n, 3))
-        s = batch_footprint(pts, DecayRates(gamma=0.0), m=1.5)
+        s = batch_footprint(pts, m=1.5)
         if not np.allclose(s.mu, pts.mean(axis=0), rtol=0, atol=1e-12):
             ok = False
         if decay_norm(n, 0.0) != float(n):

@@ -14,8 +14,9 @@ from spclust.datasets import (
     reorder,
 )
 from spclust.errors import MissingColumn, ParseError
-from spclust.footprint import DecayRates, batch_footprint
 from spclust.typicality import typicality
+
+from oracles import batch_footprint
 
 
 def arrival_indices(points):
@@ -249,7 +250,7 @@ class TestTwoCircles:
         pts = gen_two_circles(n_per_class=300, seed=14)
         left = np.array([p.x for p in pts if p.label == 0])
         right = np.array([p.x for p in pts if p.label == 1])
-        s = batch_footprint(left, DecayRates(), m=1.5)
+        s = batch_footprint(left, m=1.5)
         sharp = max(typicality(x, s.mu, s.sigma, 1.1) for x in right)
         smooth = max(typicality(x, s.mu, s.sigma, 2.0) for x in right)
         assert sharp < 0.5

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from spclust.clustering import assign_points, get_clustering, labels_from_distances
-from spclust.engine import SpcModel, SpcParams
+from spclust.engine import SpcModel, SpcParams, decay_norm
 from spclust.errors import DimensionMismatch, UnknownIdentifier
-from spclust.footprint import decay_norm
 from spclust.metrics import purity
 
 
@@ -286,6 +285,26 @@ class TestMergeStructures:
         s = model.snapshot()[0]
         assert np.allclose(s.mu, [1.0, 0.0])
         assert np.allclose(s.sigma, np.diag([2.0, 1.0]), atol=1e-9)
+
+    def test_weight_is_closed_form_damped_sum(self):
+        # the older structure's weight accumulator shifts back by the
+        # younger one's weight window, the younger one's adds, and the sum
+        # is normalized over the joint window
+        beta = 0.1
+        rng = np.random.default_rng(21)
+        model = SpcModel(SpcParams(max_structures=4, beta=beta))
+        for x in rng.uniform(-20.0, 20.0, size=(30, 2)):
+            model.update(x)
+        ages = model._age[:len(model)]
+        older, younger = (int(k) for k in np.argsort(-ages, kind="stable")[:2])
+        assert ages[older] > ages[younger]
+        acc_old, acc_new = float(model._weight_acc[older]), float(model._weight_acc[younger])
+        wage_old, wage_new = int(model._weight_age[older]), int(model._weight_age[younger])
+        assert model._weight[older] < 1.0 and model._weight[younger] < 1.0
+        model.merge_structures(model.ids()[younger], model.ids()[older])
+        expected = min(1.0, (math.exp(-beta * wage_new) * acc_old + acc_new)
+                       / decay_norm(wage_old + wage_new, beta))
+        assert model.snapshot()[-1].weight == expected
 
     def test_unknown_identifier(self):
         model = SpcModel(SpcParams(max_structures=3))

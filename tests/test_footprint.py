@@ -1,30 +1,14 @@
+"""The damped-window footprint: the engine's accumulators, their
+closed-form normalizer and merge, checked against the batch oracle."""
+
 import math
 
 import numpy as np
 import pytest
 
-from spclust.engine import SpcModel, SpcParams
-from spclust.errors import DimensionMismatch
-from spclust.footprint import (
-    DecayRates,
-    Footprint,
-    batch_footprint,
-    decay_norm,
-    merge_footprints,
-    new_singleton,
-    normalize,
-)
+from spclust.engine import SpcModel, SpcParams, decay_norm
 
-NO_DECAY = DecayRates()
-
-
-def footprint_of(points, rates, m=1.5):
-    """Accumulators whose normalized view is batch_footprint's statistics."""
-    s = batch_footprint(points, rates, m=m)
-    g = decay_norm(s.age, rates.gamma)
-    return Footprint(mean_acc=s.mu * g, scatter_acc=s.sigma * g,
-                     weight_acc=s.weight * decay_norm(s.age, rates.beta),
-                     age=s.age, weight_age=s.age)
+from oracles import batch_footprint, folded
 
 
 class TestDecayNorm:
@@ -52,30 +36,39 @@ class TestDecayNorm:
 
 
 class TestNewSingleton:
+    """A new point becomes a structure with its mean, unit spread and weight 1."""
+
     def test_two_dim(self):
-        s = normalize(new_singleton(np.array([0.0, 0.0])), NO_DECAY)
+        model = SpcModel(SpcParams())
+        model.update(np.array([0.0, 0.0]))
+        (s,) = model.snapshot()
         assert np.array_equal(s.mu, [0.0, 0.0])
         assert np.array_equal(s.sigma, np.eye(2))
         assert s.weight == 1.0
         assert s.age == 1
 
     def test_three_dim(self):
-        s = normalize(new_singleton(np.array([3.0, -1.0, 2.0])), DecayRates(0.5, 0.2))
+        model = SpcModel(SpcParams(gamma=0.5, beta=0.2))
+        model.update(np.array([3.0, -1.0, 2.0]))
+        (s,) = model.snapshot()
         assert np.array_equal(s.mu, [3.0, -1.0, 2.0])
         assert np.array_equal(s.sigma, np.eye(3))
         assert s.weight == 1.0
 
     def test_normalizers_are_unity_at_creation(self):
-        f = new_singleton(np.array([7.0]))
-        assert decay_norm(f.age, 0.9) == 1.0
-        assert decay_norm(f.weight_age, 0.3) == 1.0
+        model = SpcModel(SpcParams(gamma=0.9, beta=0.3))
+        model.update(np.array([7.0]))
+        assert np.array_equal(model._mean_accs[0], [7.0])
+        assert model._weight_acc[0] == 1.0
+        assert decay_norm(int(model._age[0]), 0.9) == 1.0
+        assert decay_norm(int(model._weight_age[0]), 0.3) == 1.0
 
 
 class TestNormalize:
     def test_plain_mean_at_zero_decay(self):
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((20, 3))
-        s = batch_footprint(pts, NO_DECAY, m=1.5)
+        s = batch_footprint(pts, m=1.5)
         assert np.allclose(s.mu, pts.mean(axis=0), atol=1e-12)
         assert decay_norm(20, 0.0) == 20.0
 
@@ -83,39 +76,44 @@ class TestNormalize:
         # damped scatter at rate zero: deviations from the running mean at
         # each arrival, not from the final mean
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        s = batch_footprint(pts, NO_DECAY, m=1.5)
+        s = batch_footprint(pts, m=1.5)
         assert np.allclose(s.sigma, np.diag([0.5, 0.0]))
 
     def test_roundtrip_with_footprint_from_structure(self):
+        # the normalized view is each accumulator over its window normalizer,
+        # and the folded accumulators normalize to the batch mean
         rng = np.random.default_rng(6)
-        rates = DecayRates(0.05, 0.01)
+        gamma, beta = 0.05, 0.01
         pts = rng.standard_normal((15, 2))
-        s = batch_footprint(pts, rates, m=1.7)
-        back = normalize(footprint_of(pts, rates, m=1.7), rates)
+        s = batch_footprint(pts, m=1.7, gamma=gamma, beta=beta)
+        model = folded([pts], gamma, beta)
+        (back,) = model.snapshot()
+        assert np.array_equal(back.mu, model._mean_accs[0] / decay_norm(back.age, gamma))
+        weight_age = int(model._weight_age[0])
+        assert weight_age == back.age
+        assert back.weight == min(1.0, model._weight_acc[0] / decay_norm(weight_age, beta))
         assert np.allclose(back.mu, s.mu)
-        assert np.allclose(back.sigma, s.sigma)
-        assert back.weight == pytest.approx(s.weight)
+        assert back.weight == pytest.approx(1.0)
         assert back.age == s.age
 
 
 class TestBatchFootprint:
     def test_single_point(self):
-        s = batch_footprint(np.array([[1.5, -2.0]]), NO_DECAY, m=1.5)
+        s = batch_footprint(np.array([[1.5, -2.0]]), m=1.5)
         assert np.array_equal(s.mu, [1.5, -2.0])
         assert np.array_equal(s.sigma, np.zeros((2, 2)))
         assert s.weight == pytest.approx(1.0)
         assert s.age == 1
 
     def test_damped_mean_one_dim(self):
-        s = batch_footprint([0.0, 2.0], DecayRates(gamma=math.log(2.0)), m=1.5)
+        s = batch_footprint([0.0, 2.0], m=1.5, gamma=math.log(2.0))
         assert s.mu[0] == pytest.approx(4.0 / 3.0)
 
     def test_matches_direct_sums(self):
         rng = np.random.default_rng(8)
         for gamma in (0.0, 0.1, 0.7):
             pts = rng.standard_normal((12, 2))
-            rates = DecayRates(gamma=gamma)
-            s = batch_footprint(pts, rates, m=1.5)
+            s = batch_footprint(pts, m=1.5, gamma=gamma)
             n = len(pts)
             weights = np.exp(-gamma * (n - 1 - np.arange(n)))
             norm = weights.sum()
@@ -131,63 +129,51 @@ class TestBatchFootprint:
 
 
 class TestMergeFootprints:
+    """SpcModel.merge_structures on folded windows: the older structure's
+    accumulators shift back by the younger one's window, then add."""
+
     def test_mean_composition_matches_batch(self):
         rng = np.random.default_rng(10)
         for gamma in (0.0, 0.01, 0.1):
-            rates = DecayRates(gamma=gamma)
             pts = rng.standard_normal((40, 3))
-            full = batch_footprint(pts, rates, m=1.5)
-            for split in (1, 7, 20, 39):
-                fa = footprint_of(pts[:split], rates)
-                fb = footprint_of(pts[split:], rates)
-                merged = normalize(merge_footprints(fa, fb, rates), rates)
+            full = batch_footprint(pts, m=1.5, gamma=gamma)
+            # the older (longer) window leads, so it has to be the prefix
+            for split in (20, 27, 33, 39):
+                model = folded([pts[:split], pts[split:]], gamma)
+                model.merge_structures(*model.ids())
+                (merged,) = model.snapshot()
                 assert np.allclose(merged.mu, full.mu, rtol=1e-10, atol=1e-12)
                 assert merged.age == full.age
 
     def test_self_merge_keeps_mean_and_weight(self):
-        f = footprint_of(np.array([[1.0, 2.0]] * 4), NO_DECAY)
-        merged = normalize(merge_footprints(f, f, NO_DECAY), NO_DECAY)
+        model = folded([np.array([[1.0, 2.0]] * 4)] * 2)
+        part = model.snapshot()[0]
+        model.merge_structures(*model.ids())
+        (merged,) = model.snapshot()
         assert np.allclose(merged.mu, [1.0, 2.0])
-        assert merged.weight == pytest.approx(normalize(f, NO_DECAY).weight)
+        assert merged.weight == pytest.approx(part.weight)
         assert merged.age == 8
 
     def test_zero_decay_weighted_mean(self):
-        fa = footprint_of(np.zeros((3, 2)), NO_DECAY)
-        fb = footprint_of(np.full((1, 2), 4.0), NO_DECAY)
-        merged = normalize(merge_footprints(fa, fb, NO_DECAY), NO_DECAY)
+        model = folded([np.zeros((3, 2)), np.full((1, 2), 4.0)])
+        model.merge_structures(*model.ids())
+        (merged,) = model.snapshot()
         assert np.allclose(merged.mu, [1.0, 1.0])  # (3*0 + 1*4) / 4
 
     def test_scatter_accumulator_composition_is_literal(self):
+        # the engine pools damped scatters only when the covariance union
+        # fails; indefinite spreads, neither dominating the other, force that
         rng = np.random.default_rng(12)
-        rates = DecayRates(gamma=0.2)
-        fa = footprint_of(rng.standard_normal((5, 2)), rates)
-        fb = footprint_of(rng.standard_normal((3, 2)), rates)
-        merged = merge_footprints(fa, fb, rates)
-        expected = math.exp(-rates.gamma * fb.age) * fa.scatter_acc + fb.scatter_acc
-        assert np.array_equal(merged.scatter_acc, expected)
-
-    def test_scatter_matches_batch_when_suffix_sits_on_prefix_mean(self):
-        # appending copies of the prefix's damped mean keeps every running
-        # mean unchanged, which is exactly when pooled scatter merging
-        # reproduces the batch scatter
-        rng = np.random.default_rng(14)
-        for gamma in (0.0, 0.15):
-            rates = DecayRates(gamma=gamma)
-            prefix = rng.standard_normal((10, 2))
-            head = batch_footprint(prefix, rates, m=1.5)
-            suffix = np.tile(head.mu, (4, 1))
-            full = batch_footprint(np.vstack([prefix, suffix]), rates, m=1.5)
-            merged = footprint_of(prefix, rates)
-            for point in suffix:
-                merged = merge_footprints(merged, footprint_of(point[None, :], rates), rates)
-            result = normalize(merged, rates)
-            assert np.allclose(result.sigma, full.sigma, atol=1e-12)
-            assert np.allclose(result.mu, full.mu, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            merge_footprints(new_singleton(np.zeros(2)), new_singleton(np.zeros(3)), NO_DECAY)
-
+        gamma = 0.2
+        model = folded([rng.standard_normal((5, 2)), rng.standard_normal((3, 2))], gamma)
+        bad_old = np.array([[1.0, 30.0], [30.0, 1.0]])
+        bad_new = np.array([[1.0, -30.0], [-30.0, 1.0]])
+        model._sigmas[0], model._sigmas[1] = bad_old, bad_new
+        model.merge_structures(*model.ids())
+        assert model.diagnostics.cu_fallbacks == 1
+        expected = (math.exp(-gamma * 3) * (bad_old * decay_norm(5, gamma))
+                    + bad_new * decay_norm(3, gamma)) / decay_norm(8, gamma)
+        assert np.array_equal(model.snapshot()[0].sigma, expected)
 
 
 def origin_after_anchors(beta):

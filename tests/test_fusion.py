@@ -5,7 +5,6 @@ import spclust.fusion as fusion
 from spclust.clustering import get_clustering
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import NotPositiveDefinite
-from spclust.footprint import DecayRates, batch_footprint
 from spclust.fusion import (
     covariance_union,
     fuse,
@@ -13,9 +12,8 @@ from spclust.fusion import (
     union_absorbing_unit,
     unit_spread,
 )
-from spclust.linalg import is_psd
 
-NO_DECAY = DecayRates()
+from oracles import batch_footprint, is_psd
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -130,7 +128,7 @@ class TestFuse:
         # pooling two equal structures gives back their spread, and so
         # must their union
         pts = np.array([[0.0, 1.0], [0.4, 0.8], [-0.2, 1.2]])
-        s = batch_footprint(pts, NO_DECAY, 1.5)
+        s = batch_footprint(pts, 1.5)
         sigma = fuse(s.mu, s.sigma, s.mu, s.sigma, s.mu)
         assert sigma is not None
         assert np.allclose(sigma, s.sigma, atol=1e-10)
