@@ -72,10 +72,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _merge_config(args)
-        if args.command == "run":
-            _run_once(config, want_grid="grid" in config.outputs)
-        elif args.command == "grid":
-            _run_once(config, want_grid=True, grid_only=True)
+        if args.command in ("run", "grid"):
+            _run_once(config, grid_only=args.command == "grid")
         else:
             _run_sweep(config, args.sweep or [])
     except (SpcError, ValueError, OSError) as exc:
@@ -208,7 +206,7 @@ def _parse_column(spec: str):
         return spec
 
 
-def _run_once(config: RunConfig, want_grid: bool, grid_only: bool = False) -> dict:
+def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
     t0 = time.perf_counter()
     points = _build_stream(config)
     if not points:
@@ -241,8 +239,6 @@ def _run_once(config: RunConfig, want_grid: bool, grid_only: bool = False) -> di
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {"grid"} if grid_only else config.outputs
-    if want_grid:
-        outputs = outputs | {"grid"}
 
     if "metrics" in outputs or not grid_only:
         _write_json(out_dir / "metrics.json", metrics)
@@ -343,7 +339,7 @@ def _run_sweep(config: RunConfig, sweep_specs) -> None:
         sub = RunConfig(values=values)
         sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in zip(keys, combo)))
         sub.values["output_dir"] = str(sub_dir)
-        metrics = _run_once(sub, want_grid=False)
+        metrics = _run_once(sub)
         row = {k: v for k, v in zip(keys, combo)}
         row.update({"purity": metrics["purity"], "nmi": metrics["nmi"],
                     "n_structures": metrics["n_structures"],

@@ -6,8 +6,9 @@ nearest structure under the squared-typicality decision distance. Noise
 structures keep unique singleton cluster ids so that every structure, and
 therefore every point, always has a label.
 
-Both steps read the model's cached means and Cholesky factors through
-SpcModel.factors(); nothing is copied or factored again.
+DBSCAN reads the engine's own distance matrix (SpcModel.distances()),
+assignment its cached means and Cholesky factors (SpcModel.factors());
+nothing is copied, factored or measured again.
 """
 
 from collections import deque
@@ -67,22 +68,20 @@ def labels_from_distances(d: np.ndarray, epsilon: float, min_pts: int) -> list[i
 
 
 def get_clustering(model: SpcModel) -> ClusterLabels:
-    """Cluster the model's structures with DBSCAN over the structure distance."""
-    factors = model.factors()
-    if not factors:
+    """Cluster the model's structures with DBSCAN over SpcModel.distances()."""
+    if not model.factors():  # raises NotPositiveDefinite for a spread without a factor
         raise ValueError("model holds no structures to cluster")
     params = model.params
-    ids = model.ids()
-    d = pairwise_structure_distances(factors, params.m)
-    labels = labels_from_distances(d, params.epsilon, params.min_pts)
-    return ClusterLabels(labels=dict(zip(ids, labels)))
+    labels = labels_from_distances(model.distances(), params.epsilon, params.min_pts)
+    return ClusterLabels(labels=dict(zip(model.ids(), labels)))
 
 
 def pairwise_structure_distances(factors, m: float) -> np.ndarray:
     """Symmetric structure-distance matrix from (mean, lower Cholesky factor) pairs.
 
     Same arithmetic as structure_distance pair by pair; each structure's
-    factor is reused across its row.
+    factor is reused across its row. The library never calls it: it is the
+    reference that tests hold SpcModel.distances() to, bit for bit to d = 3.
     """
     n = len(factors)
     d_sq = np.zeros((n, n))

@@ -45,10 +45,11 @@ for bit what structure_distance computes pair by pair. From d = 4 each
 slot keeps its own arithmetic: a dot product for unit singletons and
 triangular solves otherwise. Squared distances become typicalities
 through typicality's one elementwise transform, a whole row per call.
+The offline DBSCAN reads this same matrix through distances().
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,19 +119,14 @@ class Diagnostics:
     cu_fallbacks: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "merges": self.merges,
-            "prunes": self.prunes,
-            "deletions": self.deletions,
-            "cu_fallbacks": self.cu_fallbacks,
-        }
+        return asdict(self)
 
 
 class SpcModel:
     """Mutable model state: ordered structure store plus the stream clock.
 
     Single writer: update and merge_structures need exclusive access.
-    snapshot and factors are read-only and safe to run between updates.
+    snapshot, factors and distances are read-only and safe between updates.
     """
 
     def __init__(self, params: SpcParams):
@@ -192,6 +188,15 @@ class SpcModel:
                 raise NotPositiveDefinite(
                     f"spread of structure {self._ids[k]} is not positive-definite")
         return list(zip(self._mus, self._chols))
+
+    def distances(self) -> np.ndarray:
+        """Symmetric copy of the distance matrix in id order, zero diagonal.
+
+        From d = 4 an entry can differ in the last bit from the pair-by-pair
+        clustering.pairwise_structure_distances (one many-column solve).
+        """
+        upper = np.triu(self._dist[:self._n, :self._n], 1)
+        return upper + upper.T
 
     def update(self, x) -> None:
         """Consume one stream point."""

@@ -64,16 +64,16 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     if u1.shape != u2.shape:
         raise DimensionMismatch(f"incompatible shapes {u1.shape} and {u2.shape}")
 
-    # Exact shortcuts: if one input dominates the other outright, the
-    # union equals the dominant one (all whitened eigenvalues land on one
-    # side of the clamp). A plain Cholesky success on the difference is a
-    # sufficient and cheap certificate.
+    # Exact shortcuts: if one input dominates the other outright, the union
+    # equals it, and a plain Cholesky success on the difference certifies
+    # that cheaply. u2 is factored first, so an indefinite u2 raises; with
+    # u2 > 0, u1 - u2 > 0 implies u1 > 0.
+    chol_old = linalg.cholesky(u2)
     if linalg.is_pd(u2 - u1):
         return u2.copy()
     if linalg.is_pd(u1 - u2):
         return u1.copy()
 
-    chol_old = linalg.cholesky(u2)
     half = linalg.solve_triangular(chol_old, u1)
     whitened = linalg.solve_triangular(chol_old, half.T)
     whitened = 0.5 * (whitened + whitened.T)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spclust import linalg
 from spclust.clustering import (
     assign_points,
     assign_with_distances,
@@ -195,6 +196,58 @@ class TestGetClustering:
                     assert d[i, j] == structure_distance(snap[i], snap[j], m)
                 if i < j:
                     assert engine[i, j] == d[i, j]
+
+
+def random_stream_model(dim, seed):
+    """A short stream of a few noisy blobs, with duplicates, prunes and merges."""
+    rng = np.random.default_rng(seed)
+    centers = 4.0 * rng.standard_normal((3, dim))
+    pool = centers[rng.integers(0, 3, 12)] + rng.standard_normal((12, dim))
+    params = SpcParams(max_structures=int(rng.integers(3, 9)),
+                       gamma=float(rng.choice([0.0, 0.1])),
+                       beta=float(rng.choice([0.0, 0.2])),
+                       m=float(rng.uniform(1.2, 2.5)),
+                       epsilon=float(rng.choice([0.3, 0.6, 0.95])),
+                       w_min=float(rng.choice([0.01, 0.5])))
+    model = SpcModel(params)
+    for k in rng.integers(0, 12, 40):
+        model.update(pool[k])
+    return model
+
+
+class TestDistances:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 32, 36, 40])
+    def test_engine_matrix_matches_pairwise_reference(self, dim):
+        for seed in range(6 if dim < 32 else 2):
+            model = random_stream_model(dim, seed)
+            params = model.params
+            ref = pairwise_structure_distances(model.factors(), params.m)
+            got = model.distances()
+            assert np.array_equal(got, got.T)
+            assert not np.diag(got).any()
+            if dim <= 3:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-15
+            want = labels_from_distances(ref, params.epsilon, params.min_pts)
+            assert get_clustering(model).labels == dict(zip(model.ids(), want))
+
+    def test_returns_a_new_array(self):
+        model, _ = build_two_blob_model(seed=5)
+        first = model.distances()
+        first[:] = 7.0
+        assert not np.diag(model.distances()).any()
+
+    def test_get_clustering_makes_no_linear_algebra_call(self, monkeypatch):
+        model, _ = build_two_blob_model(seed=7)
+        want = get_clustering(model).labels
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear algebra in the offline step")
+
+        for name in ("cholesky", "solve_norm_sq", "solve_norm_sq_many"):
+            monkeypatch.setattr(linalg, name, refuse)
+        assert get_clustering(model).labels == want
 
 
 class TestFactors:

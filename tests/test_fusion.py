@@ -98,6 +98,14 @@ class TestCovarianceUnion:
         assert np.array_equal(covariance_union(small, big), big)
         assert np.array_equal(covariance_union(big, small), big)
 
+    def test_indefinite_dominant_input_is_refused(self):
+        # bad + I dominates bad, but neither is a covariance: the shortcut
+        # must not hand either back
+        bad = np.array([[1.0, 30.0], [30.0, 1.0]])
+        for a, b in ((bad, bad + np.eye(2)), (bad + np.eye(2), bad)):
+            with pytest.raises(NotPositiveDefinite):
+                covariance_union(a, b)
+
 
 class TestUnionAbsorbingUnit:
     def test_matches_dense_union(self):
@@ -200,3 +208,28 @@ class TestFuse:
         model.update([0.0, 0.0])
         assert model.diagnostics.cu_fallbacks == 2
         assert model.ids() == [5, 6, 8]
+
+    def test_engine_falls_back_when_both_spreads_are_indefinite(self):
+        # a merge's padded offsets are collinear, so the difference of the
+        # two padded spreads is rank one and can pass the dominance
+        # certificate although neither spread is a covariance
+        bad = np.array([[1.0, 30.0], [30.0, 1.0]])
+        rng = np.random.default_rng(0)
+        model = SpcModel(SpcParams(max_structures=20, gamma=0.2))
+        for x in rng.standard_normal((8, 2)):
+            model.update(x)
+        a = 0
+        for k in (1, 2, 3, 4):
+            model.merge_structures(a, k)
+            a = model.ids()[-1]
+        b = 5
+        for k in (6, 7):
+            model.merge_structures(b, k)
+            b = model.ids()[-1]
+        assert [s.age for s in model.snapshot()] == [5, 3]
+        model._sigmas[0] = bad
+        model._sigmas[1] = bad.copy()
+        model.merge_structures(a, b)
+        assert model.diagnostics.cu_fallbacks == 1
+        with pytest.raises(NotPositiveDefinite):
+            get_clustering(model)

@@ -3,8 +3,9 @@
 Streams are drawn from a small pool of points so that duplicates are
 common, with decay rates both zero and positive and prune thresholds
 high enough that prune merges and deletions happen. Low dimensions
-exercise the dense covariance union; dimensions from 32 up take the
-rank-one union that absorbs unit singletons.
+exercise the dense covariance union; dimensions 4 to 8 add the per-slot
+triangular-solve distances; dimensions from 32 up take the rank-one
+union that absorbs unit singletons.
 """
 
 import numpy as np
@@ -71,6 +72,12 @@ def _run(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_streams(dims=[1, 2, 3], max_len=30))
 def test_dense_union_streams_keep_invariants(case):
+    _run(case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_streams(dims=list(range(4, 9)), max_len=30))
+def test_per_slot_solve_streams_keep_invariants(case):
     _run(case)
 
 
