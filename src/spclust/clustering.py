@@ -69,7 +69,7 @@ def labels_from_distances(d: np.ndarray, epsilon: float, min_pts: int) -> list[i
 
 def get_clustering(model: SpcModel) -> ClusterLabels:
     """Cluster the model's structures with DBSCAN over SpcModel.distances()."""
-    if not model.factors():  # raises NotPositiveDefinite for a spread without a factor
+    if not len(model):
         raise ValueError("model holds no structures to cluster")
     params = model.params
     labels = labels_from_distances(model.distances(), params.epsilon, params.min_pts)

@@ -12,25 +12,31 @@ kept as un-normalized damped sums (accumulators) and divided by the
 closed-form window normalizer decay_norm only for the normalized view.
 This is the damped-window generalization of classic running sums and
 the stable way to compose merges: accumulators only ever get shifted
-and added. A merge shifts the older
-structure's accumulators back by the younger one's window length and
-adds the younger one's, which is the damped sum over both windows in
-closed form. Spreads are kept normalized instead: a merge takes the
-covariance union of the two padded spreads (fusion.fuse) and pools the
-damped scatters only when that union fails. The two sums keep separate
-clocks: the mean (and spread) window is the structure's age, one step
-per absorbed point, while the weight window advances on every weight
-update, since a structure's weight is refreshed for every incoming
-stream point while its mean and spread change only through merges.
+and added. A merge shifts the older structure's accumulators back by the
+younger one's window length and adds the younger one's, which is the
+damped sum over both windows in closed form. Spreads are kept
+normalized instead: a merge takes the covariance union of the two padded
+spreads, a rank-one update of the older one when it absorbs a unit
+singleton from d = 32 on, and pools the damped scatters only when that
+union fails. The two sums keep separate clocks: the mean (and spread)
+window is the structure's age, one step per absorbed point, while the
+weight window advances on every weight update, since a structure's
+weight is refreshed for every incoming stream point while its mean and
+spread change only through merges.
+
+Every spread dominates the identity: singletons start there, a union
+dominates both padded inputs and pooling is a convex combination. So
+every spread has a Cholesky factor; a merge whose spread does not factor
+raises before it changes anything.
 
 The store keeps N + 1 slots: stacked means, weight accumulators,
 weights, ages, weight ages and ids as arrays, a dense pairwise distance
 matrix, and per slot its mean and lower Cholesky factor (both
-read-only), mean accumulator and spread. Slots stay in ascending-id order: new
-structures (singletons and merge results, which always take the next
-id) append, removals compact. numpy's first-minimum rule then is the
-tie-break everywhere: the closest pair is the first minimum of the
-distance matrix's upper triangle in row-major order, i.e. the least
+read-only), mean accumulator and spread. Slots stay in ascending-id
+order: new structures (singletons and merge results, which always take
+the next id) append, removals compact. numpy's first-minimum rule then
+is the tie-break everywhere: the closest pair is the first minimum of
+the distance matrix's upper triangle in row-major order, i.e. the least
 (distance, smaller id, larger id); a pruned structure goes to the lowest
 id among equally typical targets; prune candidates run in (weight, id)
 order, each against the store the previous one left.
@@ -54,8 +60,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import fusion, linalg
-from .errors import DimensionMismatch, NotPositiveDefinite, UnknownIdentifier
+from .errors import DimensionMismatch, UnknownIdentifier
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
+
+# below this dimension the dense union is as cheap as the rank-one one
+_FAST_UNION_MIN_DIM = 32
 
 
 def decay_norm(steps: int, rate: float) -> float:
@@ -145,15 +154,15 @@ class SpcModel:
         self._weight_age = np.zeros(cap, dtype=np.int64)
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
-        # per slot: mean and lower factor (both read-only; the factor is
-        # None for a spread that has none), mean accumulator and spread
+        # per slot: mean and lower factor (both read-only), mean
+        # accumulator and spread
         self._mus: list[np.ndarray] = []
         self._mean_accs: list[np.ndarray] = []
         self._sigmas: list[np.ndarray] = []
-        self._chols: list[np.ndarray | None] = []
+        self._chols: list[np.ndarray] = []
         # set with the first point: stacked means, and for d <= 3 the factors
         # stacked along a trailing slot axis, (d, d, N + 1), the layout the
-        # closed-form kernel takes (NaN for a slot without a factor)
+        # closed-form kernel takes
         self._mu: np.ndarray | None = None
         self._chol: np.ndarray | None = None
 
@@ -180,13 +189,8 @@ class SpcModel:
 
         The engine's own cached arrays, marked read-only, not copies; they
         stay valid after later updates, which replace a structure's arrays
-        rather than mutate them. Raises NotPositiveDefinite if a spread has
-        no factor.
+        rather than mutate them.
         """
-        for k, chol in enumerate(self._chols):
-            if chol is None:
-                raise NotPositiveDefinite(
-                    f"spread of structure {self._ids[k]} is not positive-definite")
         return list(zip(self._mus, self._chols))
 
     def distances(self) -> np.ndarray:
@@ -227,7 +231,11 @@ class SpcModel:
             self._merge(*self._closest_pair())
 
     def merge_structures(self, ident_a: int, ident_b: int) -> None:
-        """Merge two structures selected by identifier."""
+        """Merge two structures selected by identifier.
+
+        Raises NotPositiveDefinite, and leaves the model as it was, if the
+        merged spread has no Cholesky factor.
+        """
         if ident_a == ident_b:
             raise ValueError("cannot merge a structure with itself")
         self._merge(self._slot(ident_a), self._slot(ident_b))
@@ -261,7 +269,7 @@ class SpcModel:
         self._chols.append(chol)
         self._mu[s] = mu
         if self._chol is not None:
-            self._chol[..., s] = np.nan if chol is None else chol
+            self._chol[..., s] = chol
         self._ids[s] = self._next_id
         self._next_id += 1
         self._weight_acc[s] = weight_acc
@@ -372,21 +380,27 @@ class SpcModel:
         g = decay_norm(age, gamma)
         mu = mean_acc / g
 
+        mu_old, mu_new = self._mus[older], self._mus[younger]
         sigma_old, sigma_new = self._sigmas[older], self._sigmas[younger]
-        sigma = fusion.fuse(self._mus[older], sigma_old, self._mus[younger], sigma_new, mu)
+        sigma = None
+        if age_new == 1 and self.dim >= _FAST_UNION_MIN_DIM:
+            # the younger is a unit singleton and the older spread is >= I
+            sigma = fusion.union_absorbing_unit(
+                fusion.pad_covariance(sigma_old, mu_old, mu), mu - mu_new)
         if sigma is None:
+            sigma = fusion.fuse(mu_old, sigma_old, mu_new, sigma_new, mu)
+        pooled = sigma is None
+        if pooled:
             # the union failed on a degenerate spread: pool the damped scatters
             sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
                      + sigma_new * decay_norm(age_new, gamma)) / g
-            self.diagnostics.cu_fallbacks += 1
+        # raises on a spread without a factor while nothing has changed yet
+        chol = linalg.cholesky(sigma)
+        chol.setflags(write=False)
+        self.diagnostics.cu_fallbacks += pooled
         self.diagnostics.merges += 1
 
         self._drop(a, b)
-        try:
-            chol = linalg.cholesky(sigma)
-            chol.setflags(write=False)
-        except NotPositiveDefinite:
-            chol = None  # degenerate spread: zero reach
         weight_age = wage_old + wage_new
         weight = min(1.0, weight_acc / decay_norm(weight_age, beta))
         self._append(mean_acc, mu, sigma, chol, weight_acc, age, weight_age, weight)
@@ -395,35 +409,28 @@ class SpcModel:
 def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
     """Row-wise delta_k' (L_k L_k')^-1 delta_k for d <= 3 from (d, d, n) factors.
 
-    A single factor (d, d, 1) serves every row. A slot without a factor
-    (NaN) has zero reach: infinitely far except at its own mean.
+    A single factor (d, d, 1) serves every row. A delta that overflows
+    (means near the float limit) gives NaN through 0 * inf in the
+    substitution; it is infinitely far.
     """
     out = linalg.solve_norm_sq(chols, deltas.T)
-    lost = np.isnan(out)
-    if lost.any():
-        out[lost] = np.where(deltas[lost].any(axis=1), math.inf, 0.0)
+    out[np.isnan(out)] = math.inf
     return out
 
 
-def _dsq(chol: np.ndarray | None, delta: np.ndarray) -> float:
+def _dsq(chol: np.ndarray, delta: np.ndarray) -> float:
     """delta' Sigma^-1 delta of one delta under one d >= 4 structure's factor."""
-    if chol is None:
-        return math.inf if np.any(delta) else 0.0
     if chol is fusion.unit_spread(delta.shape[0]):
         return float(delta @ delta)
-    if not np.any(delta):
-        return 0.0
     return linalg.solve_norm_sq(chol, delta)
 
 
-def _dsq_many(chol: np.ndarray | None, deltas: np.ndarray) -> np.ndarray:
+def _dsq_many(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Row-wise delta' Sigma^-1 delta of d >= 4 deltas under one factor.
 
     One triangular solve with many right-hand sides (one einsum for a unit
     singleton) instead of a call per delta.
     """
-    if chol is None:
-        return np.where(deltas.any(axis=1), math.inf, 0.0)
     if chol is fusion.unit_spread(deltas.shape[1]):
         return np.einsum("ij,ij->i", deltas, deltas)
     return linalg.solve_norm_sq_many(chol, deltas)

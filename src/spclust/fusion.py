@@ -10,9 +10,10 @@ structure's reach covers everything either constituent could explain.
 
 fuse works on normalized (mean, spread) pairs, which is the form the
 streaming engine keeps; the fused mean comes from the caller's damped
-accumulators. A unit singleton is recognized by its spread being the
-shared read-only identity from unit_spread, and in high dimension it is
-absorbed through a rank-one union instead of a dense eigendecomposition.
+accumulators. union_absorbing_unit absorbs a unit singleton through a
+rank-one union instead of a dense eigendecomposition, but only into a
+spread that dominates the identity; the engine, whose spreads all do,
+chooses between the two.
 """
 
 import numpy as np
@@ -20,10 +21,6 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import linalg
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
-
-# Dimension at which the singleton-absorption fast path pays for itself;
-# below this the dense union is already cheap.
-_FAST_UNION_MIN_DIM = 32
 
 _UNIT_SPREADS: dict[int, np.ndarray] = {}
 
@@ -133,12 +130,6 @@ def fuse(mu_old: np.ndarray, sigma_old: np.ndarray, mu_new: np.ndarray,
     on a degenerate spread, so the caller can fall back to pooling.
     """
     padded_old = pad_covariance(sigma_old, mu_old, mu)
-    if mu.shape[0] >= _FAST_UNION_MIN_DIM and sigma_new is unit_spread(mu.shape[0]):
-        # every engine structure satisfies sigma >= identity: singletons
-        # start there, unions only grow, pooled merges are convex
-        sigma = union_absorbing_unit(padded_old, mu - mu_new)
-        if sigma is not None:
-            return sigma
     padded_new = pad_covariance(sigma_new, mu_new, mu)
     try:
         return covariance_union(padded_new, padded_old)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spclust import linalg
 from spclust.clustering import assign_points, get_clustering, labels_from_distances
 from spclust.engine import SpcModel, SpcParams, decay_norm
 from spclust.errors import DimensionMismatch, UnknownIdentifier
@@ -317,6 +318,48 @@ class TestMergeStructures:
         model.update([0.0, 0.0])
         with pytest.raises(ValueError):
             model.merge_structures(0, 0)
+
+
+def hostile_stream(rng, kind, dim, scale, n=40):
+    if kind == "normal":
+        return scale * rng.standard_normal((n, dim))
+    if kind == "duplicates":
+        pool = scale * rng.standard_normal((6, dim))
+        return pool[rng.integers(0, 6, n)]
+    # collinear: every point on one line through the origin
+    return scale * rng.standard_normal(n)[:, None] * rng.standard_normal(dim)
+
+
+class TestFactorInvariant:
+    """Every spread dominates the identity, so every structure has a factor."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 33])
+    def test_hostile_scales_keep_a_factor_for_every_spread(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-8, 1.0, 1e8, 1e16, 1e100):
+            for kind in ("normal", "duplicates", "collinear"):
+                model = SpcModel(SpcParams(max_structures=5, gamma=0.1, beta=0.1))
+                for x in hostile_stream(rng, kind, dim, scale):
+                    model.update(x)
+                    for (_, chol), s in zip(model.factors(), model.snapshot()):
+                        # a spread too ill-conditioned to factor as it is
+                        # gets linalg.cholesky's documented diagonal jitter
+                        jitter = 0.0 if linalg.is_pd(s.sigma) else linalg.REG_LAMBDA * (
+                            np.trace(s.sigma) / dim + linalg.REG_FLOOR)
+                        residual = chol @ chol.T - s.sigma - jitter * np.eye(dim)
+                        assert np.abs(residual).max() <= 1e-13 * np.abs(s.sigma).max()
+                assert len(model) == 5
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_overflowing_delta_is_infinitely_far(self, dim):
+        # +-1.5e308 are 3e308 apart, which overflows to inf; up to d = 3
+        # the closed form then meets 0 * inf
+        model = SpcModel(SpcParams(max_structures=3))
+        for first in (1.5e308, -1.5e308, 0.0):
+            model.update([first] + [0.0] * (dim - 1))
+            d = model.distances()
+            assert not np.isnan(d).any()
+            assert np.array_equal(d, 1.0 - np.eye(len(model)))
 
 
 class TestOneDimensionalStream:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import spclust.fusion as fusion
 from spclust.engine import SpcModel, SpcParams, decay_norm
 
 from oracles import batch_footprint, folded
@@ -160,19 +161,20 @@ class TestMergeFootprints:
         (merged,) = model.snapshot()
         assert np.allclose(merged.mu, [1.0, 1.0])  # (3*0 + 1*4) / 4
 
-    def test_scatter_accumulator_composition_is_literal(self):
+    def test_scatter_accumulator_composition_is_literal(self, monkeypatch):
         # the engine pools damped scatters only when the covariance union
-        # fails; indefinite spreads, neither dominating the other, force that
+        # fails; a union that gives up forces that
         rng = np.random.default_rng(12)
         gamma = 0.2
         model = folded([rng.standard_normal((5, 2)), rng.standard_normal((3, 2))], gamma)
-        bad_old = np.array([[1.0, 30.0], [30.0, 1.0]])
-        bad_new = np.array([[1.0, -30.0], [-30.0, 1.0]])
-        model._sigmas[0], model._sigmas[1] = bad_old, bad_new
+        sigma_old, sigma_new = (s.sigma for s in model.snapshot())
+        merges = model.diagnostics.merges
+        monkeypatch.setattr(fusion, "fuse", lambda *args: None)
         model.merge_structures(*model.ids())
         assert model.diagnostics.cu_fallbacks == 1
-        expected = (math.exp(-gamma * 3) * (bad_old * decay_norm(5, gamma))
-                    + bad_new * decay_norm(3, gamma)) / decay_norm(8, gamma)
+        assert model.diagnostics.merges == merges + 1
+        expected = (math.exp(-gamma * 3) * (sigma_old * decay_norm(5, gamma))
+                    + sigma_new * decay_norm(3, gamma)) / decay_norm(8, gamma)
         assert np.array_equal(model.snapshot()[0].sigma, expected)
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import spclust.engine as engine
 import spclust.fusion as fusion
-from spclust.clustering import get_clustering
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import NotPositiveDefinite
 from spclust.fusion import (
@@ -13,7 +13,7 @@ from spclust.fusion import (
     unit_spread,
 )
 
-from oracles import batch_footprint, is_psd
+from oracles import batch_footprint, folded, is_psd
 
 
 def random_spd(rng, dim, scale=1.0):
@@ -151,28 +151,51 @@ class TestFuse:
                      np.array([5.0, 0.0]))
         assert sigma[0, 0] > 10.0  # much larger than either input spread
 
+    def test_identity_spread_takes_the_dense_union(self):
+        # fuse cannot know whether sigma_old dominates the identity, so a
+        # unit spread gets no rank-one shortcut: the union of 0.01 I and I
+        # is I
+        dim = 32
+        z = np.zeros(dim)
+        sigma = fuse(z, 0.01 * np.eye(dim), z, unit_spread(dim), z)
+        assert np.allclose(sigma, np.eye(dim))
+        assert is_psd(sigma - np.eye(dim), 1e-12)
+
     def test_unit_singleton_takes_rank_one_union(self, monkeypatch):
-        # the shared identity marks a unit singleton; at high dimension its
-        # absorption goes through union_absorbing_unit, a plain identity
-        # through the dense union, and both agree
-        rng = np.random.default_rng(19)
-        dim = fusion._FAST_UNION_MIN_DIM
-        sigma_old = random_spd(rng, dim) + np.eye(dim)
-        mu_old, mu_new = rng.standard_normal(dim), rng.standard_normal(dim)
-        mu = 0.75 * mu_old + 0.25 * mu_new
+        # from _FAST_UNION_MIN_DIM on, the engine absorbs a unit singleton
+        # (age 1) through union_absorbing_unit and merges everything else
+        # through the dense union; the two unions agree
         calls = []
         original = fusion.union_absorbing_unit
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(1)
-            return original(*args, **kwargs)
+            return original(*args)
 
         monkeypatch.setattr(fusion, "union_absorbing_unit", counted)
-        fast = fuse(mu_old, sigma_old, mu_new, unit_spread(dim), mu)
-        assert calls == [1]
-        dense = fuse(mu_old, sigma_old, mu_new, np.eye(dim), mu)
-        assert calls == [1]
-        assert np.allclose(fast, dense, rtol=1e-7, atol=1e-9)
+        rng = np.random.default_rng(19)
+        dim = engine._FAST_UNION_MIN_DIM
+        model = SpcModel(SpcParams(max_structures=10))
+        for x in rng.standard_normal((5, dim)):
+            model.update(x)
+        model.merge_structures(0, 1)
+        model.merge_structures(2, 3)
+        assert calls == [1, 1]
+        single, pair = model.snapshot()[:2]
+        assert (single.age, pair.age) == (1, 2)
+        model.merge_structures(5, 4)
+        assert calls == [1, 1, 1]
+        merged = model.snapshot()[-1]
+        dense = fuse(pair.mu, pair.sigma, single.mu, np.eye(dim), merged.mu)
+        assert np.allclose(merged.sigma, dense, rtol=1e-7, atol=1e-9)
+        model.merge_structures(6, 7)
+        assert calls == [1, 1, 1]
+
+        below = SpcModel(SpcParams(max_structures=10))
+        for x in rng.standard_normal((2, dim - 1)):
+            below.update(x)
+        below.merge_structures(0, 1)
+        assert calls == [1, 1, 1]
 
     def test_fallback_on_indefinite_spread(self):
         # an indefinite spread cannot be factored even with jitter, so the
@@ -180,56 +203,37 @@ class TestFuse:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert fuse(np.zeros(2), bad, np.zeros(2), bad.copy(), np.zeros(2)) is None
 
-    def test_engine_keeps_pooled_spread_on_fallback(self):
+    def test_engine_keeps_pooled_spread_on_fallback(self, monkeypatch):
         # the pooled spread of two equal-age structures without decay is
-        # the average of their spreads; it is indefinite here too, so the
-        # merged structure has no factor and the offline step refuses it
-        bad = np.array([[1.0, 3.0], [3.0, 1.0]])
+        # the average of their spreads
+        monkeypatch.setattr(fusion, "fuse", lambda *args: None)
+        good = np.array([[2.0, 1.0], [1.0, 3.0]])
         model = SpcModel(SpcParams(max_structures=3))
         model.update([0.0, 0.0])
         model.update([0.0, 0.0])
-        model._sigmas[0] = bad  # the stored spread of the older structure
+        model._sigmas[0] = good  # the stored spread of the older structure
         model.merge_structures(0, 1)
         assert model.diagnostics.cu_fallbacks == 1
         assert model.diagnostics.merges == 1
         (merged,) = model.snapshot()
-        assert np.allclose(merged.sigma, 0.5 * (bad + np.eye(2)))
-        with pytest.raises(NotPositiveDefinite):
-            get_clustering(model)
-        # without a factor the structure has zero reach: a point off its
-        # mean has typicality 0 there (weight 2/3 after two points of
-        # typicality 1), and a point on its mean is at distance 0, so the
-        # two are the closest pair and merge (through the fallback again)
-        for x in ([10.0, 0.0], [10.5, 0.0], [11.0, 0.0]):
-            model.update(x)
-        assert model.diagnostics.merges == 2
-        assert model.ids() == [2, 5, 6]
-        assert model.snapshot()[0].weight == 2.0 / 3.0
-        model.update([0.0, 0.0])
-        assert model.diagnostics.cu_fallbacks == 2
-        assert model.ids() == [5, 6, 8]
+        assert np.array_equal(merged.sigma, 0.5 * (good + np.eye(2)))
 
-    def test_engine_falls_back_when_both_spreads_are_indefinite(self):
-        # a merge's padded offsets are collinear, so the difference of the
-        # two padded spreads is rank one and can pass the dominance
-        # certificate although neither spread is a covariance
+    def test_engine_merge_without_factor_changes_nothing(self):
+        # neither the union nor the pooled scatter of two indefinite
+        # spreads has a factor; the merge raises before any state changes
         bad = np.array([[1.0, 30.0], [30.0, 1.0]])
         rng = np.random.default_rng(0)
-        model = SpcModel(SpcParams(max_structures=20, gamma=0.2))
-        for x in rng.standard_normal((8, 2)):
-            model.update(x)
-        a = 0
-        for k in (1, 2, 3, 4):
-            model.merge_structures(a, k)
-            a = model.ids()[-1]
-        b = 5
-        for k in (6, 7):
-            model.merge_structures(b, k)
-            b = model.ids()[-1]
-        assert [s.age for s in model.snapshot()] == [5, 3]
+        model = folded([rng.standard_normal((5, 2)), rng.standard_normal((3, 2))], 0.2)
         model._sigmas[0] = bad
         model._sigmas[1] = bad.copy()
-        model.merge_structures(a, b)
-        assert model.diagnostics.cu_fallbacks == 1
+
+        def state():
+            snap = model.snapshot()
+            return (model.ids(), model.clock, [s.age for s in snap],
+                    [s.weight for s in snap], model.retired_age,
+                    model.diagnostics.as_dict(), model.distances().tolist())
+
+        before = state()
         with pytest.raises(NotPositiveDefinite):
-            get_clustering(model)
+            model.merge_structures(*model.ids())
+        assert state() == before
