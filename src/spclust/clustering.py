@@ -7,8 +7,8 @@ structures keep unique singleton cluster ids so that every structure, and
 therefore every point, always has a label.
 
 DBSCAN reads the engine's own distance matrix (SpcModel.distances()),
-assignment its cached means and Cholesky factors (SpcModel.factors());
-nothing is copied, factored or measured again.
+assignment the engine's per-structure distance kernels
+(SpcModel.sq_distance_rows()); no spread is copied or factored again.
 """
 
 from collections import deque
@@ -114,9 +114,8 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     points is an (n, dim) array; a 1-D array is read as n scalars only
     when the model itself is one-dimensional.
     """
-    factors = model.factors()
     ids = model.ids()
-    if not factors:
+    if not ids:
         raise ValueError("model holds no structures")
     for ident in ids:
         if ident not in labels.labels:
@@ -128,9 +127,11 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
         raise DimensionMismatch(f"expected points of dim {model.dim}, got shape {pts.shape}")
     m = model.params.m
 
-    dist = np.empty((len(factors), pts.shape[0]))
-    for row, (mu, chol) in enumerate(factors):
-        dist[row] = _decision_distance_many(mu, chol, pts, m)
+    dist = np.empty((len(ids), pts.shape[0]))
+    for row, d_sq in enumerate(model.sq_distance_rows(pts)):
+        # a zero delta gives exactly 0
+        u = _typicality_of_dsq(d_sq, m)
+        dist[row] = 1.0 - u * u
     # argmin returns the first minimum, and rows are in ascending-id order,
     # so ties resolve to the lowest identifier.
     nearest = np.argmin(dist, axis=0)
@@ -141,10 +142,3 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
         id_arr[nearest],
         dist[nearest, np.arange(pts.shape[0])],
     )
-
-
-def _decision_distance_many(mu: np.ndarray, chol: np.ndarray, pts: np.ndarray,
-                            m: float) -> np.ndarray:
-    # a zero delta solves to exactly 0 under the factor's nonzero diagonal
-    u = _typicality_of_dsq(linalg.solve_norm_sq_many(chol, pts - mu), m)
-    return 1.0 - u * u

@@ -16,24 +16,32 @@ and added. A merge shifts the older structure's accumulators back by the
 younger one's window length and adds the younger one's, which is the
 damped sum over both windows in closed form. Spreads are kept
 normalized instead: a merge takes the covariance union of the two padded
-spreads, a rank-one update of the older one when it absorbs a unit
-singleton from d = 32 on, and pools the damped scatters only when that
-union fails. The two sums keep separate clocks: the mean (and spread)
-window is the structure's age, one step per absorbed point, while the
-weight window advances on every weight update, since a structure's
-weight is refreshed for every incoming stream point while its mean and
-spread change only through merges.
+spreads and pools the damped scatters only when that union fails. The
+two sums keep separate clocks: the mean (and spread) window is the
+structure's age, one step per absorbed point, while the weight window
+advances on every weight update, since a structure's weight is refreshed
+for every incoming stream point while its mean and spread change only
+through merges.
 
 Every spread dominates the identity: singletons start there, a union
 dominates both padded inputs and pooling is a convex combination. So
-every spread has a Cholesky factor; a merge whose spread does not factor
-raises before it changes anything.
+every spread has a Cholesky factor; below d = 32 a merge whose spread
+does not factor raises before it changes anything.
+
+From d = 32 every spread is I + S diag(lam - 1) S' with S (d x k)
+orthonormal, every lam > 1 and k <= age - 1: a singleton has k = 0, and
+the padded inputs of a merge equal the identity outside the span of
+both bases and the offset between the means, so the union runs on the
+projections onto that span (fusion.union_absorbing_unit), at most
+k_old + k_new + 1 columns. There the store keeps (S, lam) and no dense
+spread or factor; snapshot() and factors() build those on demand, and a
+merge computes everything before it changes any state.
 
 The store keeps N + 1 slots: stacked means, weight accumulators,
 weights, ages, weight ages and ids as arrays, a dense pairwise distance
-matrix, and per slot its mean and lower Cholesky factor (both
-read-only), mean accumulator and spread. Slots stay in ascending-id
-order: new structures (singletons and merge results, which always take
+matrix, and per slot its mean (read-only), mean accumulator and spread,
+below d = 32 with its read-only lower Cholesky factor. Slots stay in
+ascending-id order: new structures (singletons and merge results, which always take
 the next id) append, removals compact. numpy's first-minimum rule then
 is the tie-break everywhere: the closest pair is the first minimum of
 the distance matrix's upper triangle in row-major order, i.e. the least
@@ -49,8 +57,9 @@ factors are stacked too (a singleton's is the identity) and one call of
 linalg.solve_norm_sq's closed form per direction gives a whole row, bit
 for bit what structure_distance computes pair by pair. From d = 4 each
 slot keeps its own arithmetic: a dot product for unit singletons and
-triangular solves otherwise. Squared distances become typicalities
-through typicality's one elementwise transform, a whole row per call.
+triangular solves otherwise, and from d = 32 linalg.low_rank_norm_sq,
+O(dk) per distance. Squared distances become typicalities through
+typicality's one elementwise transform, a whole row per call.
 The offline DBSCAN reads this same matrix through distances().
 """
 
@@ -63,7 +72,7 @@ from . import fusion, linalg
 from .errors import DimensionMismatch, UnknownIdentifier
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 
-# below this dimension the dense union is as cheap as the rank-one one
+# from this dimension up spreads are kept as identity plus low rank
 _FAST_UNION_MIN_DIM = 32
 
 
@@ -144,6 +153,7 @@ class SpcModel:
         self.dim: int | None = None
         self.diagnostics = Diagnostics()
         self.retired_age = 0
+        self._low_rank = False
         self._next_id = 0
         self._n = 0
         cap = params.max_structures + 1
@@ -154,11 +164,13 @@ class SpcModel:
         self._weight_age = np.zeros(cap, dtype=np.int64)
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
-        # per slot: mean and lower factor (both read-only), mean
-        # accumulator and spread
+        # per slot: mean (read-only), mean accumulator and spread; below
+        # d = 32 the spread is a dense array with a read-only lower factor
+        # in _chols, from d = 32 a fusion.LowRankSpread and _chols stays
+        # empty
         self._mus: list[np.ndarray] = []
         self._mean_accs: list[np.ndarray] = []
-        self._sigmas: list[np.ndarray] = []
+        self._sigmas: list = []
         self._chols: list[np.ndarray] = []
         # set with the first point: stacked means, and for d <= 3 the factors
         # stacked along a trailing slot axis, (d, d, N + 1), the layout the
@@ -175,11 +187,11 @@ class SpcModel:
     def snapshot(self) -> list[Structure]:
         """Normalized copies of all structures, ordered by identifier.
 
-        Every mean and spread is copied; factors() is the read-only view
-        without copies.
+        Every mean and spread is copied; from d = 32 each spread is built
+        from its low-rank form by the call.
         """
         return [
-            Structure(mu=self._mus[k].copy(), sigma=self._sigmas[k].copy(),
+            Structure(mu=self._mus[k].copy(), sigma=self._dense_sigma(k),
                       weight=float(self._weight[k]), age=int(self._age[k]))
             for k in range(self._n)
         ]
@@ -187,11 +199,18 @@ class SpcModel:
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
-        The engine's own cached arrays, marked read-only, not copies; they
-        stay valid after later updates, which replace a structure's arrays
-        rather than mutate them.
+        Below d = 32 these are the engine's own cached arrays, marked
+        read-only, not copies; they stay valid after later updates, which
+        replace a structure's arrays rather than mutate them. From d = 32
+        the engine keeps no factor: each call factors the spreads that
+        snapshot() builds, with linalg.cholesky.
         """
-        return list(zip(self._mus, self._chols))
+        if not self._low_rank:
+            return list(zip(self._mus, self._chols))
+        chols = [linalg.cholesky(self._dense_sigma(k)) for k in range(self._n)]
+        for chol in chols:
+            chol.setflags(write=False)
+        return list(zip(self._mus, chols))
 
     def distances(self) -> np.ndarray:
         """Symmetric copy of the distance matrix in id order, zero diagonal.
@@ -201,6 +220,21 @@ class SpcModel:
         """
         upper = np.triu(self._dist[:self._n, :self._n], 1)
         return upper + upper.T
+
+    def sq_distance_rows(self, points: np.ndarray):
+        """Squared Mahalanobis distances of (n, d) points, one row per structure.
+
+        A generator over the structures in id order, so a caller holds one
+        row at a time. Below d = 32 each row is a many-column solve against
+        the cached factor, from d = 32 the low-rank kernel the engine's own
+        distances use; no spread is built or factored.
+        """
+        for k in range(self._n):
+            deltas = points - self._mus[k]
+            if self._low_rank:
+                yield linalg.low_rank_norm_sq(*self._sigmas[k], deltas)
+            else:
+                yield linalg.solve_norm_sq_many(self._chols[k], deltas)
 
     def update(self, x) -> None:
         """Consume one stream point."""
@@ -213,6 +247,7 @@ class SpcModel:
             self.dim = x.shape[0]
             cap = self.params.max_structures + 1
             self._mu = np.zeros((cap, self.dim))
+            self._low_rank = self.dim >= _FAST_UNION_MIN_DIM
             if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
                 self._chol = np.zeros((self.dim, self.dim, cap))
         elif x.shape[0] != self.dim:
@@ -233,8 +268,8 @@ class SpcModel:
     def merge_structures(self, ident_a: int, ident_b: int) -> None:
         """Merge two structures selected by identifier.
 
-        Raises NotPositiveDefinite, and leaves the model as it was, if the
-        merged spread has no Cholesky factor.
+        Below d = 32 raises NotPositiveDefinite if the merged spread has no
+        Cholesky factor. A merge that raises leaves the model as it was.
         """
         if ident_a == ident_b:
             raise ValueError("cannot merge a structure with itself")
@@ -249,9 +284,12 @@ class SpcModel:
         return int(hits[0])
 
     def _add_singleton(self, x: np.ndarray) -> np.ndarray:
+        x = x.copy()
+        if self._low_rank:
+            return self._append(x, x, fusion.LowRankSpread.unit(x.shape[0]), None,
+                                1.0, 1, 1, 1.0)
         # shared read-only identity: nothing downstream mutates a spread
         # in place, and snapshot() hands out copies
-        x = x.copy()
         unit = fusion.unit_spread(x.shape[0])
         return self._append(x, x, unit, unit, 1.0, 1, 1, 1.0)
 
@@ -266,7 +304,8 @@ class SpcModel:
         self._mus.append(mu)
         self._mean_accs.append(mean_acc)
         self._sigmas.append(sigma)
-        self._chols.append(chol)
+        if chol is not None:
+            self._chols.append(chol)
         self._mu[s] = mu
         if self._chol is not None:
             self._chol[..., s] = chol
@@ -295,7 +334,8 @@ class SpcModel:
             self._dist[k:n, :n + 1] = self._dist[k + 1:n + 1, :n + 1]
             self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
             for per_slot in (self._mus, self._mean_accs, self._sigmas, self._chols):
-                del per_slot[k]
+                if per_slot:  # _chols stays empty from d = 32
+                    del per_slot[k]
             self._n = n
 
     def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +351,7 @@ class SpcModel:
         if self._chol is not None:
             old_in_new = _closed_form_dsq(old_from_new, self._chol[..., s:s + 1])
         else:
-            old_in_new = _dsq_many(self._chols[s], old_from_new)
+            old_in_new = self._slot_dsq(s, old_from_new)
         u_new, u_old = _typicality_of_dsq(np.stack((new_in_old, old_in_new)), m)
         return 1.0 - u_old * u_new, u_new
 
@@ -320,7 +360,29 @@ class SpcModel:
         deltas = point - self._mu[slots]
         if self._chol is not None:
             return _closed_form_dsq(deltas, self._chol[..., slots])
-        return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
+        if not self._low_rank:
+            return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
+        # the kernel with k = 0 is the plain squared norm: unit singletons
+        # take one call together
+        out = np.einsum("ij,ij->i", deltas, deltas)
+        for row, k in enumerate(slots):
+            basis, lam = self._sigmas[k]
+            if lam.size:
+                out[row] = linalg.low_rank_norm_sq(basis, lam, deltas[row:row + 1])[0]
+        return out
+
+    def _slot_dsq(self, slot: int, deltas: np.ndarray) -> np.ndarray:
+        """Row-wise squared Mahalanobis distance of (n, d) deltas under one
+        slot's spread, from d = 4."""
+        if self._low_rank:
+            return linalg.low_rank_norm_sq(*self._sigmas[slot], deltas)
+        return _dsq_many(self._chols[slot], deltas)
+
+    def _dense_sigma(self, slot: int) -> np.ndarray:
+        """A new dense copy of one slot's spread."""
+        if self._low_rank:
+            return self._sigmas[slot].dense()
+        return self._sigmas[slot].copy()
 
     def _update_weights(self, typicality: np.ndarray) -> None:
         """Fold x's typicality into every weight; the newest slot is x itself."""
@@ -382,21 +444,26 @@ class SpcModel:
 
         mu_old, mu_new = self._mus[older], self._mus[younger]
         sigma_old, sigma_new = self._sigmas[older], self._sigmas[younger]
-        sigma = None
-        if age_new == 1 and self.dim >= _FAST_UNION_MIN_DIM:
-            # the younger is a unit singleton and the older spread is >= I
-            sigma = fusion.union_absorbing_unit(
-                fusion.pad_covariance(sigma_old, mu_old, mu), mu - mu_new)
-        if sigma is None:
-            sigma = fusion.fuse(mu_old, sigma_old, mu_new, sigma_new, mu)
-        pooled = sigma is None
-        if pooled:
+
+        def pool(old, new):
             # the union failed on a degenerate spread: pool the damped scatters
-            sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
-                     + sigma_new * decay_norm(age_new, gamma)) / g
-        # raises on a spread without a factor while nothing has changed yet
-        chol = linalg.cholesky(sigma)
-        chol.setflags(write=False)
+            return (shift * (old * decay_norm(age_old, gamma))
+                    + new * decay_norm(age_new, gamma)) / g
+
+        chol = None
+        if self._low_rank:
+            sigma = fusion.union_absorbing_unit(sigma_old, sigma_new, mu_old, mu_new, mu)
+            pooled = sigma is None
+            if pooled:
+                sigma = fusion.pool_projected(sigma_old, sigma_new, mu_new - mu_old, pool)
+        else:
+            sigma = fusion.fuse(mu_old, sigma_old, mu_new, sigma_new, mu)
+            pooled = sigma is None
+            if pooled:
+                sigma = pool(sigma_old, sigma_new)
+            # raises on a spread without a factor while nothing has changed yet
+            chol = linalg.cholesky(sigma)
+            chol.setflags(write=False)
         self.diagnostics.cu_fallbacks += pooled
         self.diagnostics.merges += 1
 

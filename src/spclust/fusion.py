@@ -8,16 +8,18 @@ the whitened eigenvalues at one, and transform back. The result
 dominates both padded inputs in the Loewner order, so the fused
 structure's reach covers everything either constituent could explain.
 
-fuse works on normalized (mean, spread) pairs, which is the form the
-streaming engine keeps; the fused mean comes from the caller's damped
-accumulators. union_absorbing_unit absorbs a unit singleton through a
-rank-one union instead of a dense eigendecomposition, but only into a
-spread that dominates the identity; the engine, whose spreads all do,
-chooses between the two.
+fuse works on dense normalized (mean, spread) pairs, the form the
+streaming engine keeps below d = 32; the fused mean comes from the
+caller's damped accumulators. From d = 32 the engine keeps every spread
+as a LowRankSpread, I + B diag(lam - 1) B', and union_absorbing_unit
+merges two of them by running covariance_union on their projections onto
+the few directions where the padded spreads differ from the identity;
+pool_projected is its pooled fallback on the same projection.
 """
 
+from typing import NamedTuple
+
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import linalg
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
@@ -63,9 +65,10 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
     # Exact shortcuts: if one input dominates the other outright, the union
     # equals it, and a plain Cholesky success on the difference certifies
-    # that cheaply. u2 is factored first, so an indefinite u2 raises; with
-    # u2 > 0, u1 - u2 > 0 implies u1 > 0.
-    chol_old = linalg.cholesky(u2)
+    # that cheaply. u2 is factored first and without jitter, so a u2 that
+    # is indefinite by however little raises; with u2 > 0, u1 - u2 > 0
+    # implies u1 > 0.
+    chol_old = linalg.cholesky(u2, jitter=False)
     if linalg.is_pd(u2 - u1):
         return u2.copy()
     if linalg.is_pd(u1 - u2):
@@ -80,45 +83,93 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return 0.5 * (fused + fused.T)
 
 
-def union_absorbing_unit(u2: np.ndarray, offset: np.ndarray) -> np.ndarray | None:
-    """covariance_union(I + offset offset', u2) without a dense eigensolve.
+class LowRankSpread(NamedTuple):
+    """The spread I + basis diag(lam - 1) basis'.
 
-    Requires u2 to dominate the identity (u2 - I positive semidefinite),
-    which is not checked: the whitened matrix is then an identity-like
-    base plus one rank-one bump, so at most one eigenvalue can exceed the
-    clamp; that eigenpair is found with a Lanczos solve against the
-    Cholesky factor. Returns None when the factorization or the iteration
-    fails, in which case the caller should use the dense path.
+    basis is (d, k) with orthonormal columns and every lam exceeds one; a
+    unit singleton has k = 0.
     """
-    dim = u2.shape[0]
-    if dim < 2:
-        return None
 
+    basis: np.ndarray
+    lam: np.ndarray
+
+    @classmethod
+    def unit(cls, dim: int) -> "LowRankSpread":
+        return cls(np.empty((dim, 0)), np.empty(0))
+
+    def dense(self) -> np.ndarray:
+        """The d x d spread, bitwise symmetric."""
+        return _identity_plus(self.basis, self.lam - 1.0)
+
+    def projected(self, q: np.ndarray) -> np.ndarray:
+        """q' spread q for orthonormal columns q whose span contains the basis."""
+        return _identity_plus(q.T @ self.basis, self.lam - 1.0)
+
+
+# Eigenvalues of a merged projection within RANK_TOL * (largest eigenvalue)
+# of one are taken as one: outside the true span every eigenvalue is
+# exactly one, and the dense arithmetic on the projection perturbs it by
+# rounding, up to 1e-13 of the largest on hostile d = 33 streams (scales
+# 1e-8 to 1e100, duplicate and collinear points).
+RANK_TOL = 1e-12
+
+
+def union_absorbing_unit(old: LowRankSpread, new: LowRankSpread, mu_old: np.ndarray,
+                         mu_new: np.ndarray, mu: np.ndarray) -> LowRankSpread | None:
+    """Covariance union of two low-rank spreads padded to their fused mean mu.
+
+    mu is a convex combination of mu_old and mu_new, so both padding
+    offsets lie along mu_new - mu_old, and both padded spreads equal the
+    identity outside the span of the two bases and that offset.
+    covariance_union therefore runs on the projections onto an orthonormal
+    basis of that span, at most k_old + k_new + 1 columns, which is exact;
+    the merged spread keeps the eigenvalues of the result above one (by
+    more than RANK_TOL relative to the largest). The
+    older structure is the factored side, as in fuse. Returns None when
+    the union fails on a degenerate spread, so the caller can pool.
+
+    One path serves every merge from d = 32 up. The name is that of the
+    rank-one union it replaced, which absorbed only unit singletons; the
+    benchmark's tracer looks the function up by it.
+    """
+    q = _span_basis(old, new, mu_new - mu_old)
+    p_old, p_new = q.T @ (mu - mu_old), q.T @ (mu - mu_new)
+    padded_old = old.projected(q) + np.outer(p_old, p_old)
+    padded_new = new.projected(q) + np.outer(p_new, p_new)
     try:
-        chol_old = linalg.cholesky(u2)
-    except NotPositiveDefinite:
+        return _from_projection(q, covariance_union(padded_new, padded_old))
+    except (NotPositiveDefinite, NoConvergence):
         return None
-    q = linalg.solve_triangular(chol_old, offset)
 
-    def matvec(v):
-        # base term L^-1 L^-T v: same spectrum as u2^-1, so the spread
-        # floor bounds all but the rank-one bump below one
-        y = linalg.solve_triangular(chol_old.T, v, lower=False)
-        y = linalg.solve_triangular(chol_old, y)
-        return y + q * (q @ v)
 
-    start = q if np.any(q) else np.ones(dim)
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    try:
-        lam, vec = eigsh(op, k=1, which="LA", v0=start, tol=1e-11, maxiter=5000)
-    except ArpackError:
-        return None
-    bump = float(lam[0]) - 1.0
-    if bump <= 0.0:
-        return u2.copy()
-    # scaling z first keeps the outer product bitwise symmetric
-    z = (chol_old @ vec[:, 0]) * np.sqrt(bump)
-    return u2 + np.outer(z, z)
+def pool_projected(old: LowRankSpread, new: LowRankSpread, offset: np.ndarray,
+                   pool) -> LowRankSpread:
+    """pool(old, new) for a convex combination pool, on the same projection
+    as union_absorbing_unit; offset is mu_new - mu_old.
+
+    Outside the span both spreads are the identity, and so is the pool.
+    """
+    q = _span_basis(old, new, offset)
+    return _from_projection(q, pool(old.projected(q), new.projected(q)))
+
+
+def _span_basis(old: LowRankSpread, new: LowRankSpread, offset: np.ndarray) -> np.ndarray:
+    return linalg.orthonormal_basis(np.column_stack((old.basis, new.basis, offset)))
+
+
+def _from_projection(q: np.ndarray, small: np.ndarray) -> LowRankSpread:
+    """I + q (small - I) q' in low-rank form."""
+    vec, lam = linalg.sym_eigen(small)
+    k = int(np.count_nonzero(lam > 1.0 + RANK_TOL * lam[0]))
+    return LowRankSpread(q @ vec[:, :k], lam[:k].copy())
+
+
+def _identity_plus(b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """I + b diag(scale) b', bitwise symmetric."""
+    outer = (b * scale) @ b.T
+    out = 0.5 * (outer + outer.T)
+    out.flat[::out.shape[0] + 1] += 1.0
+    return out
 
 
 def fuse(mu_old: np.ndarray, sigma_old: np.ndarray, mu_new: np.ndarray,

@@ -3,13 +3,15 @@
 All routines work on plain ``numpy`` arrays. Covariance-like inputs are
 expected to be symmetric; LAPACK only reads one triangle, so slight
 asymmetry from accumulated rounding is tolerated. Explicit matrix
-inversion is never performed; every quadratic form goes through a
-triangular solve.
+inversion is never performed: a quadratic form goes through a triangular
+solve, or for a spread of the form I + B diag(lam - 1) B' with orthonormal
+B through its closed-form inverse (low_rank_norm_sq).
 
 LAPACK is called directly (dpotrf, dtrtrs, dsyevr) with the arguments
 and workspace sizes that scipy.linalg's cholesky, solve_triangular and
 eigh pass, so results are bitwise the same without the wrapper overhead
-that dominates on the tiny matrices of streaming merges.
+that dominates on the tiny matrices of streaming merges; the QR behind
+orthonormal_basis (dgeqrf, dorgqr) is called directly too.
 """
 
 import numpy as np
@@ -28,25 +30,25 @@ REG_FLOOR = 1e-30
 CLOSED_FORM_MAX_DIM = 3
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
+def cholesky(a: np.ndarray, jitter: bool = True) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == a.
 
     Tries the factorization as-is first, so positive-definite inputs are
     reproduced exactly. If that fails, retries once with a small
     trace-scaled diagonal jitter (near-singular structure covariances,
-    e.g. from merges of identical points). Raises NotPositiveDefinite if
-    the jittered matrix still fails.
+    e.g. from merges of identical points), unless jitter is False.
+    Raises NotPositiveDefinite if no factorization succeeds.
     """
     a = _finite(a)
     chol = _potrf(a)
-    if chol is not None:
-        return chol
     dim = a.shape[0]
-    jitter = REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR)
-    chol = _potrf(_finite(a + jitter * np.eye(dim)))
+    if chol is None and jitter:
+        shift = REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR)
+        chol = _potrf(_finite(a + shift * np.eye(dim)))
     if chol is None:
         raise NotPositiveDefinite(
-            f"matrix of dim {dim} is not positive-definite after regularization"
+            f"matrix of dim {dim} is not positive-definite"
+            + (" after regularization" if jitter else "")
         )
     return chol
 
@@ -134,6 +136,37 @@ def solve_norm_sq_many(chol_lower: np.ndarray, deltas: np.ndarray) -> np.ndarray
     """Row-wise delta' (LL')^-1 delta for an (n, d) array of deltas."""
     y = solve_triangular(chol_lower, deltas.T)
     return np.einsum("ij,ij->j", y, y)
+
+
+def low_rank_norm_sq(basis: np.ndarray, lam: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Row-wise delta' (I + B diag(lam - 1) B')^-1 delta for (n, d) deltas.
+
+    B = basis is (d, k) with orthonormal columns. With c = B' delta the
+    form is ||r||^2 + sum_i c_i^2 / lam_i, where the residual r = delta - B c
+    is formed directly: subtracting ||c||^2 from ||delta||^2 instead
+    would leave rounding of order eps ||delta||^2 where the answer, for a
+    delta inside the span, is as small as ||delta||^2 / max(lam).
+    O(ndk), no factorization.
+    """
+    c = deltas @ basis
+    r = deltas - c @ basis.T
+    return np.einsum("ij,ij->i", r, r) + (c * c) @ (1.0 / lam)
+
+
+def orthonormal_basis(a: np.ndarray) -> np.ndarray:
+    """min(d, n) orthonormal columns whose span contains the columns of (d, n) a.
+
+    Householder QR (dgeqrf, dorgqr): the columns are orthonormal to
+    rounding even when a is rank-deficient, and then also span directions
+    a does not reach.
+    """
+    qr, tau, _, info = lapack.dgeqrf(_finite(a))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dgeqrf")
+    q, _, info = lapack.dorgqr(qr[:, :tau.shape[0]], tau)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dorgqr")
+    return q
 
 
 def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:

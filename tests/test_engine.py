@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from spclust import linalg
-from spclust.clustering import assign_points, get_clustering, labels_from_distances
+from spclust import fusion, linalg
+from spclust.clustering import (
+    assign_points,
+    assign_with_distances,
+    get_clustering,
+    labels_from_distances,
+)
+from spclust.datasets import gen_gaussian_highdim
 from spclust.engine import SpcModel, SpcParams, decay_norm
-from spclust.errors import DimensionMismatch, UnknownIdentifier
+from spclust.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, UnknownIdentifier
 from spclust.metrics import purity
+from spclust.typicality import decision_distance
 
 
 def total_age(model):
@@ -360,6 +367,176 @@ class TestFactorInvariant:
             d = model.distances()
             assert not np.isnan(d).any()
             assert np.array_equal(d, 1.0 - np.eye(len(model)))
+
+
+def random_basis(rng, dim, k):
+    return np.linalg.qr(rng.standard_normal((dim, k)))[0]
+
+
+class TestLowRankKernel:
+    """linalg.low_rank_norm_sq against a dense Cholesky solve of the same spread."""
+
+    @staticmethod
+    def oracle(basis, lam, deltas):
+        sigma = np.eye(basis.shape[0]) + (basis * (lam - 1.0)) @ basis.T
+        sigma = 0.5 * (sigma + sigma.T)
+        # the oracle is exact to rounding only for a spread that factors as it is
+        assert linalg.is_pd(sigma)
+        return linalg.solve_norm_sq_many(linalg.cholesky(sigma), deltas)
+
+    @pytest.mark.parametrize("dim", [33, 40])
+    def test_matches_dense_cholesky_oracle(self, dim):
+        rng = np.random.default_rng(dim)
+        for k in (0, 1, 5, 16, dim):
+            for _ in range(5):
+                basis = random_basis(rng, dim, k)
+                lam = 1.0 + rng.uniform(1e-3, 1e3, k)
+                deltas = 10.0 * rng.standard_normal((7, dim))
+                got = linalg.low_rank_norm_sq(basis, lam, deltas)
+                want = self.oracle(basis, lam, deltas)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_delta_inside_the_span(self):
+        # the answer is about ||delta||^2 / lam; ||delta||^2 - ||B' delta||^2
+        # would leave rounding of order eps ||delta||^2 in it
+        rng = np.random.default_rng(7)
+        dim = 33
+        for k in (1, 3, 8):
+            for top in (1e4, 1e8, 1e12, 1e16):
+                basis = random_basis(rng, dim, k)
+                lam = top * rng.uniform(0.1, 1.0, k)
+                deltas = rng.standard_normal((5, k)) @ basis.T
+                got = linalg.low_rank_norm_sq(basis, lam, deltas)
+                want = self.oracle(basis, lam, deltas)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def pool_stream(rng, dim, n=60):
+    pool = rng.standard_normal((6, dim))
+    return pool[rng.integers(0, 6, n)]
+
+
+class TestLowRankStore:
+    """From d = 32 every spread is I + B diag(lam - 1) B' with B (d, k)."""
+
+    @staticmethod
+    def check_forms(model):
+        for spread, age in zip(model._sigmas, model._age[:len(model)]):
+            k = spread.lam.size
+            assert spread.basis.shape == (model.dim, k)
+            assert k <= min(model.dim, int(age) - 1)
+            assert np.all(spread.lam > 1.0)
+            # dsyevr's eigenvectors of clustered eigenvalues are orthogonal
+            # to a few hundred ulps
+            assert np.all(np.abs(spread.basis.T @ spread.basis - np.eye(k)) <= 1e-12)
+
+    def test_rank_bound_on_hostile_streams(self):
+        dim = 33
+        rng = np.random.default_rng(dim)
+        for scale in (1e-8, 1.0, 1e8, 1e16, 1e100):
+            for kind in ("normal", "duplicates", "collinear"):
+                model = SpcModel(SpcParams(max_structures=5, gamma=0.1, beta=0.1))
+                for x in hostile_stream(rng, kind, dim, scale):
+                    model.update(x)
+                    self.check_forms(model)
+
+    def test_rank_on_gaussian_stream(self):
+        # points in general position: every merge adds the whole offset,
+        # so the rank is exactly age - 1 until it reaches d
+        dim = 32
+        model = SpcModel(SpcParams(max_structures=8))
+        for p in gen_gaussian_highdim(n_clusters=4, dim=dim, n_points=200, seed=3):
+            model.update(p.x)
+            self.check_forms(model)
+        ages = model._age[:len(model)]
+        assert ages.max() - 1 > dim  # some structure reached full rank
+        for spread, age in zip(model._sigmas, ages):
+            assert spread.lam.size == min(dim, int(age) - 1)
+
+    def test_repeated_stream_is_bitwise_identical(self):
+        # the same stream in one process gives the same bits every time
+        dim = 33
+        for seed in range(3):
+            stream = pool_stream(np.random.default_rng(seed), dim)
+            for n in (2, 3, 4, 5):
+                runs = []
+                for _ in range(3):
+                    model = SpcModel(SpcParams(max_structures=n))
+                    for x in stream:
+                        model.update(x)
+                    snap = model.snapshot()
+                    runs.append((model.ids(), model.diagnostics.as_dict(),
+                                 [s.mu.tobytes() for s in snap],
+                                 [s.weight for s in snap],
+                                 [s.sigma.tobytes() for s in snap]))
+                assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_assignment_builds_no_dense_spread(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        dim = 40
+        model = SpcModel(SpcParams(max_structures=6))
+        stream = pool_stream(rng, dim, n=30)
+        for x in stream:
+            model.update(x)
+        labels = get_clustering(model)
+        snap = model.snapshot()
+        queries = np.vstack([stream[:5], 3.0 * rng.standard_normal((5, dim))])
+        want = np.array([[decision_distance(s, q, model.params.m) for q in queries]
+                         for s in snap])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense spread in the assignment")
+
+        monkeypatch.setattr(linalg, "cholesky", refuse)
+        monkeypatch.setattr(fusion.LowRankSpread, "dense", refuse)
+        _, structure_ids, dists = assign_with_distances(model, labels, queries)
+        assert np.allclose(dists, want.min(axis=0), rtol=1e-12, atol=1e-15)
+        rows = [model.ids().index(i) for i in structure_ids]
+        assert np.allclose(want[rows, np.arange(len(queries))], dists, rtol=1e-12, atol=1e-15)
+
+    def test_pooled_fallback_uses_the_projection(self, monkeypatch):
+        # without decay the pool of two equal-age structures is the
+        # average of their spreads
+        def fail(*args):
+            raise NotPositiveDefinite("forced")
+
+        rng = np.random.default_rng(13)
+        dim = 33
+        model = SpcModel(SpcParams(max_structures=10))
+        for x in rng.standard_normal((4, dim)):
+            model.update(x)
+        model.merge_structures(0, 1)
+        model.merge_structures(2, 3)
+        a, b = model.snapshot()
+        monkeypatch.setattr(fusion, "covariance_union", fail)
+        model.merge_structures(4, 5)
+        assert model.diagnostics.cu_fallbacks == 1
+        (merged,) = model.snapshot()
+        assert np.allclose(merged.sigma, 0.5 * (a.sigma + b.sigma), rtol=1e-13, atol=1e-13)
+        self.check_forms(model)
+
+    def test_failed_merge_changes_nothing(self, monkeypatch):
+        def fail(*args):
+            raise NoConvergence("forced")
+
+        rng = np.random.default_rng(17)
+        model = SpcModel(SpcParams(max_structures=10))
+        for x in rng.standard_normal((3, 33)):
+            model.update(x)
+        model.merge_structures(0, 1)
+
+        def state():
+            snap = model.snapshot()
+            return (model.ids(), model.clock, [s.age for s in snap],
+                    [s.weight for s in snap], [s.sigma.tobytes() for s in snap],
+                    model.retired_age, model.diagnostics.as_dict(),
+                    model.distances().tolist())
+
+        before = state()
+        monkeypatch.setattr(linalg, "sym_eigen", fail)
+        with pytest.raises(NoConvergence):
+            model.merge_structures(*model.ids())
+        assert state() == before
 
 
 class TestOneDimensionalStream:

@@ -6,6 +6,7 @@ import spclust.fusion as fusion
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import NotPositiveDefinite
 from spclust.fusion import (
+    LowRankSpread,
     covariance_union,
     fuse,
     pad_covariance,
@@ -98,6 +99,12 @@ class TestCovarianceUnion:
         assert np.array_equal(covariance_union(small, big), big)
         assert np.array_equal(covariance_union(big, small), big)
 
+    def test_slightly_indefinite_old_input_is_refused(self):
+        # u2 is indefinite by less than linalg.cholesky's jitter, which must
+        # not certify it: u2 dominates u1 and would be handed back
+        with pytest.raises(NotPositiveDefinite):
+            covariance_union(np.diag([0.5, -2e-12]), np.diag([1.0, -1e-12]))
+
     def test_indefinite_dominant_input_is_refused(self):
         # bad + I dominates bad, but neither is a covariance: the shortcut
         # must not hand either back
@@ -105,6 +112,12 @@ class TestCovarianceUnion:
         for a, b in ((bad, bad + np.eye(2)), (bad + np.eye(2), bad)):
             with pytest.raises(NotPositiveDefinite):
                 covariance_union(a, b)
+
+
+def low_rank_of(u2):
+    """u2 (dominating the identity) as a full-rank LowRankSpread."""
+    lam, basis = np.linalg.eigh(u2)
+    return LowRankSpread(basis, lam)
 
 
 class TestUnionAbsorbingUnit:
@@ -116,8 +129,13 @@ class TestUnionAbsorbingUnit:
                 u2 = base + np.eye(dim)  # dominates the identity, as required
                 offset = rng.standard_normal(dim) * rng.uniform(0.0, 3.0)
                 u1 = np.eye(dim) + np.outer(offset, offset)
-                fast = union_absorbing_unit(u2, offset)
-                assert fast is not None
+                # u2 is the old structure at the fused mean 0, u1 the unit
+                # singleton at -offset padded to it
+                z = np.zeros(dim)
+                spread = union_absorbing_unit(low_rank_of(u2), LowRankSpread.unit(dim),
+                                              z, -offset, z)
+                assert spread is not None
+                fast = spread.dense()
                 dense = covariance_union(u1, u2)
                 assert np.allclose(fast, dense, rtol=1e-7, atol=1e-9)
                 assert is_psd(fast - u1, 1e-8)
@@ -126,9 +144,10 @@ class TestUnionAbsorbingUnit:
     def test_zero_offset_returns_u2(self):
         rng = np.random.default_rng(17)
         u2 = random_spd(rng, 4) + np.eye(4)
-        out = union_absorbing_unit(u2, np.zeros(4))
+        z = np.zeros(4)
+        out = union_absorbing_unit(low_rank_of(u2), LowRankSpread.unit(4), z, z, z)
         assert out is not None
-        assert np.allclose(out, np.maximum(out, u2))
+        assert np.allclose(out.dense(), u2)
 
 
 class TestFuse:
@@ -162,9 +181,9 @@ class TestFuse:
         assert is_psd(sigma - np.eye(dim), 1e-12)
 
     def test_unit_singleton_takes_rank_one_union(self, monkeypatch):
-        # from _FAST_UNION_MIN_DIM on, the engine absorbs a unit singleton
-        # (age 1) through union_absorbing_unit and merges everything else
-        # through the dense union; the two unions agree
+        # from _FAST_UNION_MIN_DIM on, every merge, of a unit singleton or
+        # not, goes through union_absorbing_unit; below it none does. The
+        # low-rank merge agrees with the dense union.
         calls = []
         original = fusion.union_absorbing_unit
 
@@ -189,13 +208,16 @@ class TestFuse:
         dense = fuse(pair.mu, pair.sigma, single.mu, np.eye(dim), merged.mu)
         assert np.allclose(merged.sigma, dense, rtol=1e-7, atol=1e-9)
         model.merge_structures(6, 7)
-        assert calls == [1, 1, 1]
+        assert calls == [1, 1, 1, 1]
+        assert model.diagnostics.merges == len(calls)
 
         below = SpcModel(SpcParams(max_structures=10))
-        for x in rng.standard_normal((2, dim - 1)):
+        for x in rng.standard_normal((4, dim - 1)):
             below.update(x)
         below.merge_structures(0, 1)
-        assert calls == [1, 1, 1]
+        below.merge_structures(2, 3)
+        below.merge_structures(4, 5)
+        assert calls == [1, 1, 1, 1]
 
     def test_fallback_on_indefinite_spread(self):
         # an indefinite spread cannot be factored even with jitter, so the
