@@ -164,10 +164,9 @@ class SpcModel:
         self._weight_age = np.zeros(cap, dtype=np.int64)
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
-        # per slot: mean (read-only), mean accumulator and spread; below
-        # d = 32 the spread is a dense array with a read-only lower factor
-        # in _chols, from d = 32 a fusion.LowRankSpread and _chols stays
-        # empty
+        # per slot: mean (read-only), mean accumulator, spread and factor;
+        # below d = 32 the spread is a dense array with a read-only lower
+        # factor, from d = 32 a fusion.LowRankSpread without one (None)
         self._mus: list[np.ndarray] = []
         self._mean_accs: list[np.ndarray] = []
         self._sigmas: list = []
@@ -232,7 +231,7 @@ class SpcModel:
         for k in range(self._n):
             deltas = points - self._mus[k]
             if self._low_rank:
-                yield linalg.low_rank_norm_sq(*self._sigmas[k], deltas)
+                yield self._sigmas[k].norm_sq(deltas)
             else:
                 yield linalg.solve_norm_sq_many(self._chols[k], deltas)
 
@@ -304,8 +303,7 @@ class SpcModel:
         self._mus.append(mu)
         self._mean_accs.append(mean_acc)
         self._sigmas.append(sigma)
-        if chol is not None:
-            self._chols.append(chol)
+        self._chols.append(chol)
         self._mu[s] = mu
         if self._chol is not None:
             self._chol[..., s] = chol
@@ -334,8 +332,7 @@ class SpcModel:
             self._dist[k:n, :n + 1] = self._dist[k + 1:n + 1, :n + 1]
             self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
             for per_slot in (self._mus, self._mean_accs, self._sigmas, self._chols):
-                if per_slot:  # _chols stays empty from d = 32
-                    del per_slot[k]
+                del per_slot[k]
             self._n = n
 
     def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,8 +347,10 @@ class SpcModel:
         old_from_new = self._mu[:s] - self._mu[s]
         if self._chol is not None:
             old_in_new = _closed_form_dsq(old_from_new, self._chol[..., s:s + 1])
+        elif self._low_rank:
+            old_in_new = self._sigmas[s].norm_sq(old_from_new)
         else:
-            old_in_new = self._slot_dsq(s, old_from_new)
+            old_in_new = _dsq_many(self._chols[s], old_from_new)
         u_new, u_old = _typicality_of_dsq(np.stack((new_in_old, old_in_new)), m)
         return 1.0 - u_old * u_new, u_new
 
@@ -360,23 +359,9 @@ class SpcModel:
         deltas = point - self._mu[slots]
         if self._chol is not None:
             return _closed_form_dsq(deltas, self._chol[..., slots])
-        if not self._low_rank:
-            return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
-        # the kernel with k = 0 is the plain squared norm: unit singletons
-        # take one call together
-        out = np.einsum("ij,ij->i", deltas, deltas)
-        for row, k in enumerate(slots):
-            basis, lam = self._sigmas[k]
-            if lam.size:
-                out[row] = linalg.low_rank_norm_sq(basis, lam, deltas[row:row + 1])[0]
-        return out
-
-    def _slot_dsq(self, slot: int, deltas: np.ndarray) -> np.ndarray:
-        """Row-wise squared Mahalanobis distance of (n, d) deltas under one
-        slot's spread, from d = 4."""
         if self._low_rank:
-            return linalg.low_rank_norm_sq(*self._sigmas[slot], deltas)
-        return _dsq_many(self._chols[slot], deltas)
+            return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
+        return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
 
     def _dense_sigma(self, slot: int) -> np.ndarray:
         """A new dense copy of one slot's spread."""

@@ -65,14 +65,21 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
     # Exact shortcuts: if one input dominates the other outright, the union
     # equals it, and a plain Cholesky success on the difference certifies
-    # that cheaply. u2 is factored first and without jitter, so a u2 that
-    # is indefinite by however little raises; with u2 > 0, u1 - u2 > 0
-    # implies u1 > 0.
-    chol_old = linalg.cholesky(u2, jitter=False)
-    if linalg.is_pd(u2 - u1):
-        return u2.copy()
-    if linalg.is_pd(u1 - u2):
-        return u1.copy()
+    # that cheaply. They hand an input back as it is, so they need u2 to
+    # factor without jitter; with u2 > 0, u1 - u2 > 0 implies u1 > 0. A u2
+    # that factors only with linalg.cholesky's jitter (a near-singular
+    # padded spread, or one indefinite by less than the jitter) is whitened
+    # against the jittered factor, so the union dominates u2 plus the
+    # jitter; a u2 that does not factor even so raises.
+    try:
+        chol_old = linalg.cholesky(u2, jitter=False)
+    except NotPositiveDefinite:
+        chol_old = linalg.cholesky(u2)
+    else:
+        if linalg.is_pd(u2 - u1):
+            return u2.copy()
+        if linalg.is_pd(u1 - u2):
+            return u1.copy()
 
     half = linalg.solve_triangular(chol_old, u1)
     whitened = linalg.solve_triangular(chol_old, half.T)
@@ -101,9 +108,28 @@ class LowRankSpread(NamedTuple):
         """The d x d spread, bitwise symmetric."""
         return _identity_plus(self.basis, self.lam - 1.0)
 
+    def norm_sq(self, deltas: np.ndarray) -> np.ndarray:
+        """Row-wise delta' spread^-1 delta for (n, d) deltas, O(ndk)."""
+        return linalg.low_rank_norm_sq(self.basis, self.lam, deltas)
+
     def projected(self, q: np.ndarray) -> np.ndarray:
         """q' spread q for orthonormal columns q whose span contains the basis."""
         return _identity_plus(q.T @ self.basis, self.lam - 1.0)
+
+
+def norm_sq_rows(spreads: list[LowRankSpread], deltas: np.ndarray) -> np.ndarray:
+    """Row i of (n, d) deltas under spreads[i], for n spreads.
+
+    The rows under unit singletons (k = 0), where the form is the plain
+    squared norm, take one call together: most rows of a singleton's
+    distance row are of that kind, and a call per row costs more than
+    the arithmetic.
+    """
+    out = np.einsum("ij,ij->i", deltas, deltas)
+    for row, spread in enumerate(spreads):
+        if spread.lam.size:
+            out[row] = spread.norm_sq(deltas[row:row + 1])[0]
+    return out
 
 
 # Eigenvalues of a merged projection within RANK_TOL * (largest eigenvalue)

@@ -41,8 +41,10 @@ def cholesky(a: np.ndarray, jitter: bool = True) -> np.ndarray:
     """
     a = _finite(a)
     chol = _potrf(a)
+    if chol is not None:
+        return chol
     dim = a.shape[0]
-    if chol is None and jitter:
+    if jitter:
         shift = REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR)
         chol = _potrf(_finite(a + shift * np.eye(dim)))
     if chol is None:

@@ -356,6 +356,9 @@ class TestFactorInvariant:
                         residual = chol @ chol.T - s.sigma - jitter * np.eye(dim)
                         assert np.abs(residual).max() <= 1e-13 * np.abs(s.sigma).max()
                 assert len(model) == 5
+                # near-singular padded spreads still take the union, through
+                # the jittered factor, rather than the pooled fallback
+                assert model.diagnostics.cu_fallbacks == 0
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_overflowing_delta_is_infinitely_far(self, dim):
@@ -409,6 +412,16 @@ class TestLowRankKernel:
                 got = linalg.low_rank_norm_sq(basis, lam, deltas)
                 want = self.oracle(basis, lam, deltas)
                 assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_rows_under_many_spreads_match_one_by_one(self):
+        # the batched unit-singleton rows are bit for bit the kernel's
+        rng = np.random.default_rng(3)
+        dim = 33
+        spreads = [fusion.LowRankSpread(random_basis(rng, dim, k), 1.0 + rng.uniform(0.5, 9.0, k))
+                   for k in (0, 3, 0, 0, 1, 33, 0)]
+        deltas = rng.standard_normal((len(spreads), dim))
+        want = [s.norm_sq(deltas[i:i + 1])[0] for i, s in enumerate(spreads)]
+        assert np.array_equal(fusion.norm_sq_rows(spreads, deltas), want)
 
 
 def pool_stream(rng, dim, n=60):

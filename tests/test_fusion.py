@@ -3,6 +3,7 @@ import pytest
 
 import spclust.engine as engine
 import spclust.fusion as fusion
+from spclust import linalg
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import NotPositiveDefinite
 from spclust.fusion import (
@@ -99,11 +100,16 @@ class TestCovarianceUnion:
         assert np.array_equal(covariance_union(small, big), big)
         assert np.array_equal(covariance_union(big, small), big)
 
-    def test_slightly_indefinite_old_input_is_refused(self):
-        # u2 is indefinite by less than linalg.cholesky's jitter, which must
-        # not certify it: u2 dominates u1 and would be handed back
-        with pytest.raises(NotPositiveDefinite):
-            covariance_union(np.diag([0.5, -2e-12]), np.diag([1.0, -1e-12]))
+    def test_slightly_indefinite_old_input_is_not_handed_back(self):
+        # u2 is indefinite by less than linalg.cholesky's jitter and
+        # dominates u1; the shortcut must not return u2 itself. The union is
+        # taken against the jittered factor instead, which gives a
+        # covariance dominating both inputs
+        u1, u2 = np.diag([0.5, -2e-12]), np.diag([1.0, -1e-12])
+        fused = covariance_union(u1, u2)
+        assert linalg.is_pd(fused)
+        assert linalg.is_pd(fused - u1)
+        assert linalg.is_pd(fused - u2)
 
     def test_indefinite_dominant_input_is_refused(self):
         # bad + I dominates bad, but neither is a covariance: the shortcut
