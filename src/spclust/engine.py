@@ -72,8 +72,13 @@ from . import fusion, linalg
 from .errors import DimensionMismatch, UnknownIdentifier
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 
-# from this dimension up spreads are kept as identity plus low rank
-_FAST_UNION_MIN_DIM = 32
+# From this dimension up spreads are kept as identity plus low rank.
+# Chosen from measured ingest against the dense store: the low-rank form
+# is faster at every d while structures keep k << d (1.7x at d = 64 to
+# 15x at d = 512), and up to d = 48 also when they reach k = d. Streams
+# that reach k = d are slower from d = 64 (1.1x there, 3-4x at d = 128 to
+# 512), and no threshold on d alone avoids that: the stream sets k.
+_LOW_RANK_MIN_DIM = 32
 
 
 def decay_norm(steps: int, rate: float) -> float:
@@ -246,7 +251,7 @@ class SpcModel:
             self.dim = x.shape[0]
             cap = self.params.max_structures + 1
             self._mu = np.zeros((cap, self.dim))
-            self._low_rank = self.dim >= _FAST_UNION_MIN_DIM
+            self._low_rank = self.dim >= _LOW_RANK_MIN_DIM
             if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
                 self._chol = np.zeros((self.dim, self.dim, cap))
         elif x.shape[0] != self.dim:
@@ -430,22 +435,22 @@ class SpcModel:
         mu_old, mu_new = self._mus[older], self._mus[younger]
         sigma_old, sigma_new = self._sigmas[older], self._sigmas[younger]
 
-        def pool(old, new):
-            # the union failed on a degenerate spread: pool the damped scatters
-            return (shift * (old * decay_norm(age_old, gamma))
-                    + new * decay_norm(age_new, gamma)) / g
-
+        # when the union fails on a degenerate spread, the damped scatters
+        # are pooled
         chol = None
         if self._low_rank:
             sigma = fusion.union_absorbing_unit(sigma_old, sigma_new, mu_old, mu_new, mu)
             pooled = sigma is None
             if pooled:
-                sigma = fusion.pool_projected(sigma_old, sigma_new, mu_new - mu_old, pool)
+                sigma = fusion.pool_projected(sigma_old, sigma_new, mu_new - mu_old,
+                                              shift * decay_norm(age_old, gamma) / g,
+                                              decay_norm(age_new, gamma) / g)
         else:
             sigma = fusion.fuse(mu_old, sigma_old, mu_new, sigma_new, mu)
             pooled = sigma is None
             if pooled:
-                sigma = pool(sigma_old, sigma_new)
+                sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
+                         + sigma_new * decay_norm(age_new, gamma)) / g
             # raises on a spread without a factor while nothing has changed yet
             chol = linalg.cholesky(sigma)
             chol.setflags(write=False)

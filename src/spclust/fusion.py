@@ -169,14 +169,14 @@ def union_absorbing_unit(old: LowRankSpread, new: LowRankSpread, mu_old: np.ndar
 
 
 def pool_projected(old: LowRankSpread, new: LowRankSpread, offset: np.ndarray,
-                   pool) -> LowRankSpread:
-    """pool(old, new) for a convex combination pool, on the same projection
-    as union_absorbing_unit; offset is mu_new - mu_old.
+                   w_old: float, w_new: float) -> LowRankSpread:
+    """w_old * old + w_new * new, for weights summing to one, on the same
+    projection as union_absorbing_unit; offset is mu_new - mu_old.
 
     Outside the span both spreads are the identity, and so is the pool.
     """
     q = _span_basis(old, new, offset)
-    return _from_projection(q, pool(old.projected(q), new.projected(q)))
+    return _from_projection(q, w_old * old.projected(q) + w_new * new.projected(q))
 
 
 def _span_basis(old: LowRankSpread, new: LowRankSpread, offset: np.ndarray) -> np.ndarray:

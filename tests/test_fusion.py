@@ -187,7 +187,7 @@ class TestFuse:
         assert is_psd(sigma - np.eye(dim), 1e-12)
 
     def test_unit_singleton_takes_rank_one_union(self, monkeypatch):
-        # from _FAST_UNION_MIN_DIM on, every merge, of a unit singleton or
+        # from _LOW_RANK_MIN_DIM on, every merge, of a unit singleton or
         # not, goes through union_absorbing_unit; below it none does. The
         # low-rank merge agrees with the dense union.
         calls = []
@@ -199,7 +199,7 @@ class TestFuse:
 
         monkeypatch.setattr(fusion, "union_absorbing_unit", counted)
         rng = np.random.default_rng(19)
-        dim = engine._FAST_UNION_MIN_DIM
+        dim = engine._LOW_RANK_MIN_DIM
         model = SpcModel(SpcParams(max_structures=10))
         for x in rng.standard_normal((5, dim)):
             model.update(x)
