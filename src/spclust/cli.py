@@ -268,18 +268,31 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_snapshot(path: Path, model: SpcModel) -> None:
-    snap = model.snapshot()
-    dim = model.dim or 0
+    """One row per structure: id, age, weight, mean, then the row-major spread.
+
+    Every spread is bitwise symmetric, signs of zero included, so only its
+    upper triangle is formatted and mirrored; a spread whose bytes equal an
+    earlier one (every unit singleton's identity) reuses its string.
+    """
+    dim = model.dim
     header = (["id", "age", "weight"]
               + [f"mu_{i}" for i in range(dim)]
               + [f"cov_{i}_{j}" for i in range(dim) for j in range(dim)])
-    lines = [",".join(header)]
-    for ident, s in zip(model.ids(), snap):
-        row = [str(ident), str(s.age), repr(float(s.weight))]
-        row += [repr(float(v)) for v in s.mu]
-        row += [repr(float(v)) for v in s.sigma.reshape(-1)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    rows, cols = np.triu_indices(dim)
+    upper_index = np.empty((dim, dim), dtype=np.intp)
+    upper_index[rows, cols] = upper_index[cols, rows] = np.arange(rows.size)
+    mirror = upper_index.ravel().tolist()
+    spreads = {}
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for ident, s in zip(model.ids(), model.snapshot()):
+            key = s.sigma.tobytes()
+            if key not in spreads:
+                upper = list(map(repr, s.sigma[rows, cols].tolist()))
+                spreads[key] = "," + ",".join(map(upper.__getitem__, mirror)) + "\n"
+            f.write(",".join([str(ident), str(s.age), repr(float(s.weight)),
+                              *map(repr, s.mu.tolist())]))
+            f.write(spreads[key])
 
 
 def _write_assignments(path: Path, points, pred) -> None:
@@ -307,11 +320,12 @@ def _write_grid(path: Path, model: SpcModel, labels, config: RunConfig) -> None:
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)
-    lines = ["x,y,cluster,structure,distance"]
-    for k in range(pts.shape[0]):
-        lines.append(f"{float(pts[k, 0])!r},{float(pts[k, 1])!r},{int(cluster_ids[k])},"
-                     f"{int(structure_ids[k])},{float(dists[k])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    # row k of the lattice is (xs[k % res], ys[k // res])
+    cells = itertools.product(map(repr, ys.tolist()), map(repr, xs.tolist()))
+    with path.open("w") as f:
+        f.write("x,y,cluster,structure,distance\n")
+        f.writelines(f"{x},{y},{c},{s},{dist!r}\n" for (y, x), c, s, dist in
+                     zip(cells, cluster_ids.tolist(), structure_ids.tolist(), dists.tolist()))
 
 
 def _run_sweep(config: RunConfig, sweep_specs) -> None:

@@ -1,5 +1,10 @@
 import json
 
+import numpy as np
+import pytest
+
+from spclust import cli
+from spclust.clustering import assign_with_distances
 from spclust.cli import main
 
 
@@ -150,3 +155,94 @@ class TestSweep:
         rc = run_cli("sweep", "--source", "two-circles",
                      "--output-dir", tmp_path / "o")
         assert rc != 0
+
+
+# Reference writers: one repr per element, rows joined into one string.
+# The CLI's writers format each distinct value once and must give the same
+# bytes.
+
+def _reference_snapshot(path, model):
+    snap = model.snapshot()
+    dim = model.dim or 0
+    header = (["id", "age", "weight"]
+              + [f"mu_{i}" for i in range(dim)]
+              + [f"cov_{i}_{j}" for i in range(dim) for j in range(dim)])
+    lines = [",".join(header)]
+    for ident, s in zip(model.ids(), snap):
+        row = [str(ident), str(s.age), repr(float(s.weight))]
+        row += [repr(float(v)) for v in s.mu]
+        row += [repr(float(v)) for v in s.sigma.reshape(-1)]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _reference_assignments(path, points, pred):
+    lines = ["t,label,cluster"]
+    for p, c in zip(points, pred):
+        lines.append(f"{p.t},{p.label},{c}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _reference_grid(path, model, labels, config):
+    bounds = config["grid_bounds"]
+    if bounds is None:
+        mus = np.array([mu for mu, _ in model.factors()])
+        lo = mus.min(axis=0)
+        hi = mus.max(axis=0)
+        pad = 0.1 * np.maximum(hi - lo, 1.0)
+        x0, x1, y0, y1 = lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
+    else:
+        x0, x1, y0, y1 = (float(b) for b in str(bounds).split(","))
+    res = int(config["grid_resolution"])
+    xs = np.linspace(x0, x1, res)
+    ys = np.linspace(y0, y1, res)
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)
+    lines = ["x,y,cluster,structure,distance"]
+    for k in range(pts.shape[0]):
+        lines.append(f"{float(pts[k, 0])!r},{float(pts[k, 1])!r},{int(cluster_ids[k])},"
+                     f"{int(structure_ids[k])},{float(dists[k])!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+_REFERENCES = {"snapshot.csv": ("_write_snapshot", _reference_snapshot),
+               "assignments.csv": ("_write_assignments", _reference_assignments),
+               "grid.csv": ("_write_grid", _reference_grid)}
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("args", [
+        ("--source", "two-circles", "--n", "8", "--seed", "29", "--n-per-class", "60",
+         "--outputs", "metrics,snapshot,assignments,grid", "--grid-resolution", "25"),
+        ("--source", "two-circles", "--n", "6", "--seed", "3", "--n-per-class", "40",
+         "--outputs", "snapshot,grid", "--grid-resolution", "20",
+         "--grid-bounds=-2,4,-2,2"),
+        # dense spreads with per-slot solves
+        ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "4",
+         "--n-points", "60", "--separation", "12", "--seed", "2",
+         "--outputs", "snapshot,assignments"),
+        # low-rank spreads: three unit singletons (identical spreads) and
+        # three merged structures
+        ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "33",
+         "--n-points", "60", "--seed", "2", "--outputs", "snapshot,assignments"),
+    ], ids=["two-circles-default-lattice", "two-circles-grid-bounds", "highdim-4",
+            "highdim-33"])
+    def test_outputs_byte_identical(self, tmp_path, monkeypatch, args):
+        calls = {}
+        for name, (writer, _) in _REFERENCES.items():
+            real = getattr(cli, writer)
+
+            def spy(path, *inputs, _real=real, _name=name):
+                calls[_name] = inputs
+                _real(path, *inputs)
+
+            monkeypatch.setattr(cli, writer, spy)
+        out = tmp_path / "out"
+        assert run_cli("run", *args, "--output-dir", out) == 0
+        requested = args[args.index("--outputs") + 1].split(",")
+        assert sorted(calls) == sorted(f"{o}.csv" for o in requested if o != "metrics")
+        for name, inputs in calls.items():
+            reference = tmp_path / ("reference-" + name)
+            _REFERENCES[name][1](reference, *inputs)
+            assert (out / name).read_bytes() == reference.read_bytes(), name
