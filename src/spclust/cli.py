@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +55,8 @@ class RunConfig:
 
     @property
     def params(self) -> SpcParams:
-        v = self.values
-        return SpcParams(
-            max_structures=v["n"], gamma=v["gamma"], beta=v["beta"], m=v["m"],
-            epsilon=v["epsilon"], w_min=v["w_min"], nlt_max=v["nlt_max"],
-            min_pts=v["min_pts"],
-        )
+        names = [f.name for f in fields(SpcParams)]
+        return SpcParams(**{k: self.values[_config_key(k)] for k in names})
 
     @property
     def outputs(self) -> set:
@@ -131,10 +127,7 @@ def _merge_config(args) -> RunConfig:
     values = dict(_DEFAULTS)
     if args.config is not None:
         values.update(_load_config_file(args.config))
-    for key in values:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values.update({k: getattr(args, k) for k in values if getattr(args, k, None) is not None})
     return RunConfig(values=values)
 
 
@@ -147,8 +140,7 @@ def _load_config_file(path: Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _coerce(key, value)
@@ -182,7 +174,7 @@ def _build_stream(config: RunConfig):
         if key == "csv_path":
             params.append(("path", v[key]))
         elif key == "feature_columns":
-            params.append(("feature_columns", tuple(_parse_columns(v[key]))))
+            params.append((key, tuple(_parse_column(c) for c in v[key].split(","))))
         elif key == "label_column":
             params.append(("label_column", _parse_column(v[key])))
         else:
@@ -192,10 +184,6 @@ def _build_stream(config: RunConfig):
     spec = StreamSpec(source=source, params=tuple(params), order=v["order"],
                       seed=v["seed"])
     return build_stream(spec)
-
-
-def _parse_columns(spec: str) -> list:
-    return [_parse_column(c) for c in spec.split(",")]
 
 
 def _parse_column(spec: str):
@@ -231,7 +219,7 @@ def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
         "n_clusters": labels.n_clusters,
         "diagnostics": model.diagnostics.as_dict(),
         "retired_age": model.retired_age,
-        "params": _params_dict(params),
+        "params": {_config_key(k): v for k, v in asdict(params).items()},
         "stream": {k: config.values[k] for k in
                    ("source", "order", "seed", "csv_path") if config.values[k] is not None},
     }
@@ -255,12 +243,9 @@ def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
     return metrics
 
 
-def _params_dict(params: SpcParams) -> dict:
-    return {
-        "n": params.max_structures, "gamma": params.gamma, "beta": params.beta,
-        "m": params.m, "epsilon": params.epsilon, "w_min": params.w_min,
-        "nlt_max": params.nlt_max, "min_pts": params.min_pts,
-    }
+def _config_key(param: str) -> str:
+    """The configuration key of an SpcParams field: the budget is n."""
+    return "n" if param == "max_structures" else param
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -296,9 +281,7 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
 
 
 def _write_assignments(path: Path, points, pred) -> None:
-    lines = ["t,label,cluster"]
-    for p, c in zip(points, pred):
-        lines.append(f"{p.t},{p.label},{c}")
+    lines = ["t,label,cluster"] + [f"{p.t},{p.label},{c}" for p, c in zip(points, pred)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -328,6 +311,9 @@ def _write_grid(path: Path, model: SpcModel, labels, config: RunConfig) -> None:
                      zip(cells, cluster_ids.tolist(), structure_ids.tolist(), dists.tolist()))
 
 
+_SWEEP_METRICS = ("purity", "nmi", "n_structures", "n_clusters")
+
+
 def _run_sweep(config: RunConfig, sweep_specs) -> None:
     if not sweep_specs:
         raise ValueError("sweep needs at least one --sweep KEY=V1,V2 specification")
@@ -354,17 +340,12 @@ def _run_sweep(config: RunConfig, sweep_specs) -> None:
         sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in zip(keys, combo)))
         sub.values["output_dir"] = str(sub_dir)
         metrics = _run_once(sub)
-        row = {k: v for k, v in zip(keys, combo)}
-        row.update({"purity": metrics["purity"], "nmi": metrics["nmi"],
-                    "n_structures": metrics["n_structures"],
-                    "n_clusters": metrics["n_clusters"]})
-        rows.append(row)
+        rows.append({**dict(zip(keys, combo)), **{k: metrics[k] for k in _SWEEP_METRICS}})
 
-    header = keys + ["purity", "nmi", "n_structures", "n_clusters"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
-                              for h in header))
+    header = keys + list(_SWEEP_METRICS)
+    lines = [",".join(header)] + [
+        ",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header)
+        for row in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
 

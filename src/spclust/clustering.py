@@ -135,10 +135,6 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     # argmin returns the first minimum, and rows are in ascending-id order,
     # so ties resolve to the lowest identifier.
     nearest = np.argmin(dist, axis=0)
-    id_arr = np.asarray(ids)
     label_arr = np.asarray([labels.labels[i] for i in ids])
-    return (
-        label_arr[nearest],
-        id_arr[nearest],
-        dist[nearest, np.arange(pts.shape[0])],
-    )
+    cols = np.arange(pts.shape[0])
+    return label_arr[nearest], np.asarray(ids)[nearest], dist[nearest, cols]

@@ -97,11 +97,7 @@ def reorder(points: list[LabeledPoint], order: str, seed: int = 0) -> list[Label
         if order == "sequential-by-class":
             items = [p for g in groups for p in g]
         else:  # round-robin-by-class
-            items = []
-            for i in range(max(len(g) for g in groups)):
-                for g in groups:
-                    if i < len(g):
-                        items.append(g[i])
+            items = [g[i] for i in range(max(map(len, groups))) for g in groups if i < len(g)]
     return [LabeledPoint(x=p.x, label=p.label, t=i) for i, p in enumerate(items)]
 
 
@@ -121,7 +117,7 @@ def load_csv(path, feature_columns=None, label_column=None, order: str = "as-is"
         raise ParseError(f"{path} contains no rows")
 
     header = None
-    if _looks_like_header(rows[0]):
+    if not any(_is_float(cell) for cell in rows[0]):
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
         if not rows:
@@ -135,8 +131,7 @@ def load_csv(path, feature_columns=None, label_column=None, order: str = "as-is"
     else:
         feature_idx = [_resolve_column(c, header, width) for c in feature_columns]
 
-    vectors = []
-    labels = []
+    vectors, labels = [], []
     label_ids: dict[str, int] = {}
     for r, row in enumerate(rows):
         if len(row) != width:
@@ -152,10 +147,6 @@ def load_csv(path, feature_columns=None, label_column=None, order: str = "as-is"
         labels.append(label_ids.setdefault(key, len(label_ids)))
 
     return reorder(_stamp(vectors, labels), order, seed)
-
-
-def _looks_like_header(row) -> bool:
-    return not any(_is_float(cell) for cell in row)
 
 
 def _is_float(cell: str) -> bool:
@@ -195,8 +186,7 @@ def gen_sine_waves(n_per_class: int = 400, classes=SINE_CLASSES,
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     xs = np.linspace(x_span[0], x_span[1], n_per_class)
-    vectors = []
-    labels = []
+    vectors, labels = [], []
     for i in range(n_per_class):
         for c, (amp, freq, phase, offset) in enumerate(classes):
             y = amp * math.sin(freq * xs[i] + phase) + offset
@@ -233,8 +223,7 @@ def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTI
                 long_std**2 * np.outer(axis, axis) + short_std**2 * np.outer(perp, perp)
             )
     rng = np.random.default_rng(seed)
-    vectors = []
-    labels = []
+    vectors, labels = [], []
     for c, (mean, cov) in enumerate(zip(means, edge_covariances)):
         pts = rng.multivariate_normal(mean, cov, size=n_per_class, method="cholesky")
         pts = pts[rng.permutation(n_per_class)]
@@ -263,8 +252,7 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
         centers = scale * rng.standard_normal((n_clusters, dim))
         if _min_pairwise(centers) >= floor:
             break
-    vectors = []
-    labels = []
+    vectors, labels = [], []
     for c in range(n_clusters):
         pts = centers[c] + cluster_std * rng.standard_normal((per, dim))
         vectors.extend(pts)
@@ -293,8 +281,7 @@ def gen_two_circles(n_per_class: int = 250, centers=((0.0, 0.0), (2.1, 0.0)),
             center[0] + r * np.cos(theta),
             center[1] + r * np.sin(theta),
         ]))
-    vectors = []
-    labels = []
+    vectors, labels = [], []
     for i in range(n_per_class):
         for c in range(2):
             vectors.append(per_class[c][i])

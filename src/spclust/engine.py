@@ -2,65 +2,50 @@
 
 Every incoming point first becomes its own structure. While the store is
 within budget (the burn-in phase) nothing else happens. Once over budget,
-all structure weights absorb the new point's typicality, underweight
-structures are pruned (merged into their best-fitting peer when one is
-close enough on the log-typicality scale, deleted otherwise), and if the
-store is still over budget the two most similar structures are merged.
+all weights absorb the new point's typicality, underweight structures
+are pruned (merged into their best-fitting peer when one is close enough
+on the log-typicality scale, deleted otherwise), and while the store is
+over budget the two most similar structures are merged.
 
 Each structure is a damped-window footprint. Its mean and weight are
-kept as un-normalized damped sums (accumulators) and divided by the
-closed-form window normalizer decay_norm only for the normalized view.
-This is the damped-window generalization of classic running sums and
-the stable way to compose merges: accumulators only ever get shifted
-and added. A merge shifts the older structure's accumulators back by the
-younger one's window length and adds the younger one's, which is the
-damped sum over both windows in closed form. Spreads are kept
-normalized instead: a merge takes the covariance union of the two padded
-spreads and pools the damped scatters only when that union fails. The
-two sums keep separate clocks: the mean (and spread) window is the
-structure's age, one step per absorbed point, while the weight window
-advances on every weight update, since a structure's weight is refreshed
-for every incoming stream point while its mean and spread change only
-through merges.
-
-Every spread dominates the identity: singletons start there, a union
-dominates both padded inputs and pooling is a convex combination. So
-every spread has a Cholesky factor; below d = 32 a merge whose spread
-does not factor raises before it changes anything.
+un-normalized damped sums (accumulators), divided by the closed-form
+window normalizer decay_norm only for the normalized view; a merge
+shifts the older structure's accumulators back by the younger one's
+window length and adds the younger one's, the damped sum over both
+windows in closed form. The mean window is the structure's age, one
+step per absorbed point; the weight window advances on every weight
+update. Spreads are kept normalized: a merge takes the covariance union
+of the two padded spreads (at d = 2 in closed form, fusion.fuse) and
+pools the damped scatters only when that union fails. So every spread
+dominates the identity and has a Cholesky factor; below d = 32 a merge
+whose spread does not factor raises before it changes anything.
 
 From d = 32 every spread is I + S diag(lam - 1) S' with S (d x k)
-orthonormal, every lam > 1 and k <= age - 1: a singleton has k = 0, and
-the padded inputs of a merge equal the identity outside the span of
-both bases and the offset between the means, so the union runs on the
-projections onto that span (fusion.union_absorbing_unit), at most
-k_old + k_new + 1 columns. There the store keeps (S, lam) and no dense
-spread or factor; snapshot() and factors() build those on demand, and a
-merge computes everything before it changes any state.
+orthonormal, every lam > 1 and k <= age - 1, and a merge runs the union
+on the projections onto the span of both bases and the offset between
+the means (fusion.union_absorbing_unit). There the store keeps (S, lam)
+and no dense spread or factor; snapshot() and factors() build those on
+demand.
 
 The store keeps N + 1 slots: stacked means, weight accumulators,
 weights, ages, weight ages and ids as arrays, a dense pairwise distance
 matrix, and per slot its mean (read-only), mean accumulator and spread,
 below d = 32 with its read-only lower Cholesky factor. Slots stay in
-ascending-id order: new structures (singletons and merge results, which always take
-the next id) append, removals compact. numpy's first-minimum rule then
-is the tie-break everywhere: the closest pair is the first minimum of
-the distance matrix's upper triangle in row-major order, i.e. the least
-(distance, smaller id, larger id); a pruned structure goes to the lowest
-id among equally typical targets; prune candidates run in (weight, id)
-order, each against the store the previous one left.
+ascending-id order: new structures (singletons and merge results) take
+the next id and append, removals compact in one pass. numpy's
+first-minimum rule is the tie-break everywhere: the closest pair is the
+least (distance, smaller id, larger id); a pruned structure goes to the
+lowest id among equally typical targets; prune candidates run in
+(weight, id) order, each against the store the previous one left.
 
-Means and spreads change only through merges, so each slot's factor and
-its distances to the earlier slots are computed once, when it is
-filled; a singleton's distance row also gives the new point's
+Each slot's factor and its distances to the earlier slots are computed
+once, when it is filled; a singleton's row also gives the new point's
 typicality in every structure for the weight update. Up to d = 3 the
-factors are stacked too (a singleton's is the identity) and one call of
-linalg.solve_norm_sq's closed form per direction gives a whole row, bit
-for bit what structure_distance computes pair by pair. From d = 4 each
-slot keeps its own arithmetic: a dot product for unit singletons and
-triangular solves otherwise, and from d = 32 linalg.low_rank_norm_sq,
-O(dk) per distance. Squared distances become typicalities through
-typicality's one elementwise transform, a whole row per call.
-The offline DBSCAN reads this same matrix through distances().
+factors are stacked and one call of linalg.solve_norm_sq's closed form
+gives a whole row in both directions, bit for bit what
+structure_distance computes pair by pair. From d = 4 each slot keeps its
+own triangular solves, from d = 32 linalg.low_rank_norm_sq, O(dk) per
+distance. The offline DBSCAN reads this same matrix through distances().
 """
 
 import math
@@ -72,13 +57,13 @@ from . import fusion, linalg
 from .errors import DimensionMismatch, UnknownIdentifier
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 
-# From this dimension up spreads are kept as identity plus low rank.
-# Chosen from measured ingest against the dense store: the low-rank form
-# is faster at every d while structures keep k << d (1.7x at d = 64 to
-# 15x at d = 512), and up to d = 48 also when they reach k = d. Streams
-# that reach k = d are slower from d = 64 (1.1x there, 3-4x at d = 128 to
-# 512), and no threshold on d alone avoids that: the stream sets k.
+# From this dimension up spreads are kept as identity plus low rank. By
+# measured ingest the low-rank form is faster at every d while k << d
+# (1.7x at d = 64 to 15x at d = 512), and up to d = 48 also at k = d;
+# streams that reach k = d are slower from d = 64 (3-4x from d = 128).
 _LOW_RANK_MIN_DIM = 32
+
+_SIGNS = np.array([[1.0], [-1.0]])  # delta and -delta: both directions of a row
 
 
 def decay_norm(steps: int, rate: float) -> float:
@@ -87,11 +72,17 @@ def decay_norm(steps: int, rate: float) -> float:
     Closed form (1 - e^(-rate*steps)) / (1 - e^(-rate)), evaluated with
     expm1 so it degrades gracefully to ``steps`` as rate -> 0.
     """
-    if steps < 1:
-        raise ValueError(f"window length must be >= 1, got {steps}")
+    return decay_norms([steps], rate)[0]
+
+
+def decay_norms(steps: list[int], rate: float) -> list[float]:
+    """decay_norm of each window length in steps, with expm1(-rate) taken once."""
+    if min(steps) < 1:
+        raise ValueError(f"window length must be >= 1, got {min(steps)}")
     if rate == 0.0:
-        return float(steps)
-    return math.expm1(-rate * steps) / math.expm1(-rate)
+        return [float(k) for k in steps]
+    denom = math.expm1(-rate)
+    return [math.expm1(-rate * k) / denom for k in steps]
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,8 @@ class SpcModel:
         self._sigmas: list = []
         self._chols: list[np.ndarray] = []
         # set with the first point: stacked means, and for d <= 3 the factors
-        # stacked along a trailing slot axis, (d, d, N + 1), the layout the
-        # closed-form kernel takes
+        # in the closed-form kernel's layout, (d, d, 2, N + 1): [..., 0, k] is
+        # slot k's factor, [..., 1, :s] slot s's while its row is made
         self._mu: np.ndarray | None = None
         self._chol: np.ndarray | None = None
 
@@ -203,11 +194,9 @@ class SpcModel:
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
-        Below d = 32 these are the engine's own cached arrays, marked
-        read-only, not copies; they stay valid after later updates, which
-        replace a structure's arrays rather than mutate them. From d = 32
-        the engine keeps no factor: each call factors the spreads that
-        snapshot() builds, with linalg.cholesky.
+        Below d = 32 these are the engine's own read-only arrays, valid
+        after later updates, which replace arrays rather than mutate them.
+        From d = 32 each call factors the spreads snapshot() builds.
         """
         if not self._low_rank:
             return list(zip(self._mus, self._chols))
@@ -245,7 +234,7 @@ class SpcModel:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim != 1 or not x.size:
             raise DimensionMismatch(f"expected a nonempty vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("stream point must be finite")
         if self.dim is None:
             self.dim = x.shape[0]
@@ -253,7 +242,7 @@ class SpcModel:
             self._mu = np.zeros((cap, self.dim))
             self._low_rank = self.dim >= _LOW_RANK_MIN_DIM
             if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
-                self._chol = np.zeros((self.dim, self.dim, cap))
+                self._chol = np.zeros((self.dim, self.dim, 2, cap))
         elif x.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[0]}")
 
@@ -311,7 +300,7 @@ class SpcModel:
         self._chols.append(chol)
         self._mu[s] = mu
         if self._chol is not None:
-            self._chol[..., s] = chol
+            self._chol[:, :, 0, s] = chol
         self._ids[s] = self._next_id
         self._next_id += 1
         self._weight_acc[s] = weight_acc
@@ -326,47 +315,60 @@ class SpcModel:
         return typicality
 
     def _drop(self, *slots: int) -> None:
-        """Remove slots, shifting the later ones down to keep id order."""
+        """Remove slots, moving the kept ones down in one pass to keep id order."""
+        keep = list(range(self._n))
         for k in sorted(slots, reverse=True):
-            n = self._n - 1
-            for arr in (self._ids, self._weight_acc, self._weight, self._age,
-                        self._weight_age, self._mu):
-                arr[k:n] = arr[k + 1:n + 1]
-            if self._chol is not None:
-                self._chol[..., k:n] = self._chol[..., k + 1:n + 1]
-            self._dist[k:n, :n + 1] = self._dist[k + 1:n + 1, :n + 1]
-            self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
+            del keep[k]
             for per_slot in (self._mus, self._mean_accs, self._sigmas, self._chols):
                 del per_slot[k]
-            self._n = n
+        # slots below the first dropped one stay where they are
+        n, lo = len(keep), min(slots)
+        self._n = n
+        keep = np.array(keep[lo:], dtype=np.intp)
+        for arr in (self._ids, self._weight_acc, self._weight, self._age,
+                    self._weight_age, self._mu):
+            arr[lo:n] = arr[keep]
+        if self._chol is not None:
+            self._chol[..., lo:n] = self._chol.take(keep, -1)
+        # rows, then columns: the kept block stays upper triangular
+        self._dist[lo:n] = self._dist.take(keep, 0)
+        self._dist[:n, lo:n] = self._dist[:n].take(keep, 1)
 
+    # offsets that overflow (means near the float limit) are infinitely far
+    @np.errstate(over="ignore", invalid="ignore")
     def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Structure distance of slot s to each earlier slot, and the
         typicality of slot s's mean in each of them.
 
         The distance is one minus the product of each mean's typicality in
-        the other structure, as in typicality.structure_distance.
+        the other structure, as in typicality.structure_distance. Up to
+        d = 3 one closed-form call takes both directions, the earlier
+        factors against delta and slot s's factor against -delta (exact).
         """
-        m = self.params.m
-        new_in_old = self._dsq_at(self._mu[s], np.arange(s))
-        old_from_new = self._mu[:s] - self._mu[s]
         if self._chol is not None:
-            old_in_new = _closed_form_dsq(old_from_new, self._chol[..., s:s + 1])
-        elif self._low_rank:
-            old_in_new = self._sigmas[s].norm_sq(old_from_new)
+            chols = self._chol[..., :s]
+            chols[:, :, 1] = self._chol[:, :, 0, s, None]
+            delta = self._mu[s] - self._mu[:s]
+            dsq = _closed_form_dsq(delta.T[:, None] * _SIGNS, chols)
         else:
-            old_in_new = _dsq_many(self._chols[s], old_from_new)
-        u_new, u_old = _typicality_of_dsq(np.stack((new_in_old, old_in_new)), m)
+            new_in_old = self._dsq_at(self._mu[s], np.arange(s))
+            old_from_new = self._mu[:s] - self._mu[s]
+            old_in_new = (self._sigmas[s].norm_sq(old_from_new) if self._low_rank
+                          else _dsq_many(self._chols[s], old_from_new))
+            dsq = np.stack((new_in_old, old_in_new))
+        u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _dsq_at(self, point: np.ndarray, slots) -> np.ndarray:
         """Squared Mahalanobis distance of point under each listed slot's spread."""
         deltas = point - self._mu[slots]
         if self._chol is not None:
-            return _closed_form_dsq(deltas, self._chol[..., slots])
+            return _closed_form_dsq(deltas.T, self._chol[:, :, 0, slots])
         if self._low_rank:
             return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
-        return np.array([_dsq(self._chols[k], delta) for k, delta in zip(slots, deltas)])
+        return np.concatenate([_dsq_many(self._chols[k], deltas[i:i + 1])
+                               for i, k in enumerate(slots)])
 
     def _dense_sigma(self, slot: int) -> np.ndarray:
         """A new dense copy of one slot's spread."""
@@ -382,7 +384,7 @@ class SpcModel:
         self._weight_acc[:n - 1] += typicality
         self._weight_acc[n - 1] += 1.0
         self._weight_age[:n] += 1
-        norms = [decay_norm(age, beta) for age in self._weight_age[:n].tolist()]
+        norms = decay_norms(self._weight_age[:n].tolist(), beta)
         # a damped average of typicalities is at most one; the recursive
         # sum and the closed-form normalizer can round one ulp apart
         self._weight[:n] = np.minimum(1.0, self._weight_acc[:n] / norms)
@@ -464,30 +466,16 @@ class SpcModel:
 
 
 def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """Row-wise delta_k' (L_k L_k')^-1 delta_k for d <= 3 from (d, d, n) factors.
-
-    A single factor (d, d, 1) serves every row. A delta that overflows
-    (means near the float limit) gives NaN through 0 * inf in the
-    substitution; it is infinitely far.
-    """
-    out = linalg.solve_norm_sq(chols, deltas.T)
+    """delta' (L L')^-1 delta for d <= 3 over the trailing axes of (d, ...) deltas
+    and (d, d, ...) factors; an overflowing delta (NaN via 0 * inf) is infinitely far."""
+    out = linalg.solve_norm_sq(chols, deltas)
     out[np.isnan(out)] = math.inf
     return out
 
 
-def _dsq(chol: np.ndarray, delta: np.ndarray) -> float:
-    """delta' Sigma^-1 delta of one delta under one d >= 4 structure's factor."""
-    if chol is fusion.unit_spread(delta.shape[0]):
-        return float(delta @ delta)
-    return linalg.solve_norm_sq(chol, delta)
-
-
 def _dsq_many(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Row-wise delta' Sigma^-1 delta of d >= 4 deltas under one factor.
-
-    One triangular solve with many right-hand sides (one einsum for a unit
-    singleton) instead of a call per delta.
-    """
+    """Row-wise delta' Sigma^-1 delta of d >= 4 deltas under one factor: one
+    triangular solve with many right-hand sides, one einsum for a unit singleton."""
     if chol is fusion.unit_spread(deltas.shape[1]):
         return np.einsum("ij,ij->i", deltas, deltas)
     return linalg.solve_norm_sq_many(chol, deltas)

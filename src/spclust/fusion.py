@@ -10,13 +10,16 @@ structure's reach covers everything either constituent could explain.
 
 fuse works on dense normalized (mean, spread) pairs, the form the
 streaming engine keeps below d = 32; the fused mean comes from the
-caller's damped accumulators. From d = 32 the engine keeps every spread
-as a LowRankSpread, I + B diag(lam - 1) B', and union_absorbing_unit
-merges two of them by running covariance_union on their projections onto
-the few directions where the padded spreads differ from the identity;
-pool_projected is its pooled fallback on the same projection.
+caller's damped accumulators. At d = 2 it runs in Python floats with no
+LAPACK call (_union_2x2); covariance_union is the general path and the
+oracle. From d = 32 the engine keeps every spread as a LowRankSpread,
+I + B diag(lam - 1) B', and union_absorbing_unit merges two of them by
+running covariance_union on their projections onto the few directions
+where the padded spreads differ from the identity; pool_projected is its
+pooled fallback on the same projection.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -144,19 +147,15 @@ def union_absorbing_unit(old: LowRankSpread, new: LowRankSpread, mu_old: np.ndar
                          mu_new: np.ndarray, mu: np.ndarray) -> LowRankSpread | None:
     """Covariance union of two low-rank spreads padded to their fused mean mu.
 
-    mu is a convex combination of mu_old and mu_new, so both padding
-    offsets lie along mu_new - mu_old, and both padded spreads equal the
-    identity outside the span of the two bases and that offset.
-    covariance_union therefore runs on the projections onto an orthonormal
-    basis of that span, at most k_old + k_new + 1 columns, which is exact;
-    the merged spread keeps the eigenvalues of the result above one (by
-    more than RANK_TOL relative to the largest). The
-    older structure is the factored side, as in fuse. Returns None when
-    the union fails on a degenerate spread, so the caller can pool.
-
-    One path serves every merge from d = 32 up. The name is that of the
-    rank-one union it replaced, which absorbed only unit singletons; the
-    benchmark's tracer looks the function up by it.
+    Both padding offsets lie along mu_new - mu_old, so both padded spreads
+    equal the identity outside the span of the two bases and that offset;
+    covariance_union runs exactly on the projections onto that span, at
+    most k_old + k_new + 1 columns, and the merged spread keeps the
+    eigenvalues above one by more than RANK_TOL relative to the largest.
+    The older structure is the factored side, as in fuse. Returns None
+    when the union fails on a degenerate spread, so the caller can pool.
+    It serves every merge from d = 32 up; the benchmark's tracer looks it
+    up by the name of the singleton union it replaced.
     """
     q = _span_basis(old, new, mu_new - mu_old)
     p_old, p_new = q.T @ (mu - mu_old), q.T @ (mu - mu_new)
@@ -206,9 +205,70 @@ def fuse(mu_old: np.ndarray, sigma_old: np.ndarray, mu_new: np.ndarray,
     is the factored side of the union. Returns None when the union fails
     on a degenerate spread, so the caller can fall back to pooling.
     """
+    args = [np.asarray(v, dtype=float) for v in (mu_old, sigma_old, mu_new, sigma_new, mu)]
+    if [v.shape for v in args] == [(2,), (2, 2), (2,), (2, 2), (2,)]:
+        low = _union_2x2(*[v.tolist() for v in args])
+        if low is not None:
+            return np.array([[low[0], low[1]], [low[1], low[2]]])
     padded_old = pad_covariance(sigma_old, mu_old, mu)
     padded_new = pad_covariance(sigma_new, mu_new, mu)
     try:
         return covariance_union(padded_new, padded_old)
     except (NotPositiveDefinite, NoConvergence):
         return None
+
+
+def _union_2x2(mu_old, s_old, mu_new, s_new, mu) -> tuple | None:
+    """fuse at d = 2 in Python floats: the union's lower triangle, or None.
+
+    The padding rounds as pad_covariance does. The factor L of the padded
+    old spread u2 and the dominance tests repeat LAPACK's unblocked
+    Cholesky, so they decide as covariance_union does. Otherwise only one
+    eigenvalue hi of W = L^-1 u1 L^-T exceeds one, and with its unit
+    eigenvector v (as LAPACK dlaev2 forms them) the union L Q max(Lam, I)
+    Q' L' is u2 + (hi - 1) (L v)(L v)'. None where u2 does not factor
+    outright or a value is not finite, for covariance_union to handle.
+    """
+    (m0, m1), (o0, o1), (n0, n1) = mu, mu_old, mu_new
+    d0, d1, e0, e1 = m0 - o0, m1 - o1, m0 - n0, m1 - n1
+    u2 = a, b, c = s_old[0][0] + d0 * d0, s_old[1][0] + d1 * d0, s_old[1][1] + d1 * d1
+    u1 = p, q, r = s_new[0][0] + e0 * e0, s_new[1][0] + e1 * e0, s_new[1][1] + e1 * e1
+    chol = _chol_2x2(a, b, c)
+    if chol is None or not math.isfinite(p + q + r + a + b + c):
+        return None
+    if _chol_2x2(a - p, b - q, c - r):
+        return u2
+    if _chol_2x2(p - a, q - b, r - c):
+        return u1
+    l00, l10, l11 = chol
+    # W by forward substitution: X = L^-1 u1, then L^-1 X'
+    x00, x01 = p / l00, q / l00
+    x10, x11 = (q - l10 * x00) / l11, (r - l10 * x01) / l11
+    w00, w11 = x00 / l00, (x11 - l10 * (x10 / l00)) / l11
+    w01 = 0.5 * (x10 / l00 + (x01 - l10 * w00) / l11)
+    rt = math.hypot(w00 - w11, 2.0 * w01)
+    hi = 0.5 * (w00 + w11 + rt)
+    if not math.isfinite(hi):
+        return None
+    if hi <= 1.0:
+        return u2
+    h = 0.5 * (abs(w00 - w11) + rt)  # v is (1, t) or (t, 1) over its norm; h = 0 iff W = hi I
+    if not h:
+        return u1
+    t = w01 / h
+    v0, v1 = (1.0, t) if w00 >= w11 else (t, 1.0)
+    y0, y1 = l00 * v0, l10 * v0 + l11 * v1
+    k = (hi - 1.0) / (1.0 + t * t)
+    fused = a + k * y0 * y0, b + k * y0 * y1, c + k * y1 * y1
+    return fused if math.isfinite(sum(fused)) else None
+
+
+def _chol_2x2(a: float, b: float, c: float) -> tuple | None:
+    """Lower factor (l00, l10, l11) of [[a, b], [b, c]] as dpotf2 forms it, or None."""
+    if a > 0.0:
+        l00 = math.sqrt(a)
+        l10 = b * (1.0 / l00)  # dpotf2 scales the column by the reciprocal pivot
+        c -= l10 * l10
+        if c > 0.0:
+            return l00, l10, math.sqrt(c)
+    return None

@@ -116,21 +116,17 @@ def solve_norm_sq(chol_lower: np.ndarray, delta: np.ndarray):
     order then gives the n values bit for bit, as an array.
     """
     d = delta.shape[0]
-    if d == 1:
-        y0 = delta[0] / chol_lower[0, 0]
-        out = y0 * y0
-    elif d == 2:
-        y0 = delta[0] / chol_lower[0, 0]
-        y1 = (delta[1] - chol_lower[1, 0] * y0) / chol_lower[1, 1]
-        out = y0 * y0 + y1 * y1
-    elif d == 3:
-        y0 = delta[0] / chol_lower[0, 0]
-        y1 = (delta[1] - chol_lower[1, 0] * y0) / chol_lower[1, 1]
-        y2 = (delta[2] - chol_lower[2, 0] * y0 - chol_lower[2, 1] * y1) / chol_lower[2, 2]
-        out = y0 * y0 + y1 * y1 + y2 * y2
-    else:
+    if d > CLOSED_FORM_MAX_DIM:
         y = solve_triangular(chol_lower, delta)
         return float(y @ y)
+    y0 = delta[0] / chol_lower[0, 0]
+    out = y0 * y0
+    if d > 1:
+        y1 = (delta[1] - chol_lower[1, 0] * y0) / chol_lower[1, 1]
+        out = out + y1 * y1
+    if d > 2:
+        y2 = (delta[2] - chol_lower[2, 0] * y0 - chol_lower[2, 1] * y1) / chol_lower[2, 2]
+        out = out + y2 * y2
     return out if out.ndim else float(out)
 
 
@@ -180,13 +176,13 @@ def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if x.shape != mu.shape:
-        raise _dim_error(x.shape, mu.shape)
+        raise DimensionMismatch(f"incompatible shapes {x.shape} and {mu.shape}")
     delta = x - mu
     if not np.any(delta):
         return 0.0
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[0] != delta.shape[0]:
-        raise _dim_error(sigma.shape, delta.shape)
+        raise DimensionMismatch(f"incompatible shapes {sigma.shape} and {delta.shape}")
     return solve_norm_sq(cholesky(sigma), delta)
 
 
@@ -196,7 +192,3 @@ def _finite(a) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a
-
-
-def _dim_error(shape_a, shape_b):
-    return DimensionMismatch(f"incompatible shapes {shape_a} and {shape_b}")

@@ -46,19 +46,15 @@ def nmi(pred, truth) -> float:
     """
     counts = contingency_table(pred, truth).astype(float)
     n = counts.sum()
-    p_row = counts.sum(axis=1) / n
-    p_col = counts.sum(axis=0) / n
-    h_row = _entropy(p_row)
-    h_col = _entropy(p_col)
+    p_row, p_col = counts.sum(axis=1) / n, counts.sum(axis=0) / n
+    h_row, h_col = _entropy(p_row), _entropy(p_col)
     if h_row == 0.0 and h_col == 0.0:
         return 1.0
     if h_row == 0.0 or h_col == 0.0:
         return 0.0
     p_joint = counts / n
     mask = p_joint > 0
-    info = float(
-        (p_joint[mask] * np.log(p_joint[mask] / np.outer(p_row, p_col)[mask])).sum()
-    )
+    info = float((p_joint[mask] * np.log(p_joint[mask] / np.outer(p_row, p_col)[mask])).sum())
     return info / np.sqrt(h_row * h_col)
 
 

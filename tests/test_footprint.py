@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spclust.fusion as fusion
-from spclust.engine import SpcModel, SpcParams, decay_norm
+from spclust.engine import SpcModel, SpcParams, decay_norm, decay_norms
 
 from oracles import batch_footprint, folded
 
@@ -34,6 +34,18 @@ class TestDecayNorm:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             decay_norm(0, 0.1)
+        with pytest.raises(ValueError):
+            decay_norms([3, 0, 5], 0.1)
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-4, 0.05, 0.1, 1.0])
+    def test_hoisted_normalizers_keep_the_bits_of_decay_norm(self, rate):
+        # the weight update takes expm1(-rate) once for all slots; every
+        # normalizer keeps the bits of the closed form taken one at a time
+        ages = list(range(1, 20001))
+        one_at_a_time = [float(k) if rate == 0.0 else math.expm1(-rate * k) / math.expm1(-rate)
+                         for k in ages]
+        assert decay_norms(ages, rate) == one_at_a_time
+        assert [decay_norm(k, rate) for k in ages] == one_at_a_time
 
 
 class TestNewSingleton:

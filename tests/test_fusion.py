@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spclust.engine as engine
 import spclust.fusion as fusion
@@ -118,6 +120,110 @@ class TestCovarianceUnion:
         for a, b in ((bad, bad + np.eye(2)), (bad + np.eye(2), bad)):
             with pytest.raises(NotPositiveDefinite):
                 covariance_union(a, b)
+
+
+def dense_fuse(mu_old, sigma_old, mu_new, sigma_new, mu):
+    """The oracle of fuse: covariance_union of the same padded pair."""
+    return covariance_union(pad_covariance(sigma_new, mu_new, mu),
+                            pad_covariance(sigma_old, mu_old, mu))
+
+
+def rotated(rng, eigenvalues):
+    """A 2 x 2 spread with the given eigenvalues along a random rotation,
+    bitwise symmetric as the engine's spreads are."""
+    q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    a = (q * np.asarray(eigenvalues, dtype=float)) @ q.T
+    return 0.5 * (a + a.T)
+
+
+class TestUnion2x2:
+    """fuse at d = 2 takes the union in closed form, without LAPACK; the
+    dense covariance_union of the same padded pair is its oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(args):
+        got, want = fuse(*args), dense_fuse(*args)
+        assert np.allclose(got, want, rtol=1e-7, atol=1e-9)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(got, got.T)
+        mu_old, sigma_old, mu_new, sigma_new, mu = args
+        tol = 1e-13 * np.abs(got).max()
+        assert is_psd(got - pad_covariance(sigma_old, mu_old, mu), tol)
+        assert is_psd(got - pad_covariance(sigma_new, mu_new, mu), tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8.0, 8.0),
+           log_ratio=st.floats(-2.0, 2.0), t=st.floats(0.0, 1.0))
+    def test_random_pairs_match_dense_union(self, seed, log_scale, log_ratio, t):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        sigma_old = rotated(rng, scale * 10.0 ** rng.uniform(0.0, 3.0, 2))
+        sigma_new = rotated(rng, scale * 10.0 ** (log_ratio + rng.uniform(0.0, 3.0, 2)))
+        mu_old = np.sqrt(scale) * rng.standard_normal(2)
+        mu_new = mu_old + np.sqrt(scale) * rng.standard_normal(2)
+        self.assert_matches_oracle((mu_old, sigma_old, mu_new, sigma_new,
+                                    mu_old + t * (mu_new - mu_old)))
+
+    def test_near_equal_zero_offset_and_ill_conditioned(self):
+        rng = np.random.default_rng(41)
+        z = np.zeros(2)
+        for _ in range(200):
+            sigma = rotated(rng, 10.0 ** rng.uniform(-8.0, 8.0, 2))
+            nudge = rotated(rng, rng.uniform(-1.0, 1.0, 2)) * 1e-12 * np.abs(sigma).max()
+            # near-equal inputs, and zero offsets
+            self.assert_matches_oracle((z, sigma, z, sigma + nudge, z))
+            # an ill-conditioned older spread (condition 1e8) against a unit singleton
+            ill = rotated(rng, [1.0, 1e-8])
+            x = rng.standard_normal(2)
+            self.assert_matches_oracle((z, ill, x, unit_spread(2), 0.75 * x))
+            # a unit singleton absorbed by a structure that dominates the identity
+            old = rotated(rng, 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, 2))
+            self.assert_matches_oracle((z, old, x, unit_spread(2), rng.uniform() * x))
+
+    def test_dominance_shortcuts_return_an_input_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        z = np.zeros(2)
+        for _ in range(100):
+            small = rotated(rng, 10.0 ** rng.uniform(-2.0, 2.0, 2))
+            big = small + rotated(rng, 10.0 ** rng.uniform(-2.0, 2.0, 2))
+            x = 1e-3 * rng.standard_normal(2)
+            for old, new in ((big, small), (small, big)):
+                args = (z, old, x, new, 0.5 * x)
+                want = pad_covariance(big, z if old is big else x, 0.5 * x)
+                assert np.array_equal(dense_fuse(*args), want)
+                assert np.array_equal(fuse(*args), want)
+
+    def test_factor_and_its_failures_are_lapacks(self):
+        # the dominance shortcuts decide as covariance_union's dpotrf does
+        rng = np.random.default_rng(47)
+        for _ in range(2000):
+            a = rotated(rng, 10.0 ** rng.uniform(-8.0, 8.0) * rng.uniform(-0.05, 1.0, 2))
+            mine = fusion._chol_2x2(a[0, 0], a[1, 0], a[1, 1])
+            assert (mine is not None) == linalg.is_pd(a)
+            if mine is not None:
+                chol = linalg.cholesky(a, jitter=False)
+                assert mine == (chol[0, 0], chol[1, 0], chol[1, 1])
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called at d = 2")
+
+        args = (np.zeros(2), np.diag([3.0, 1.5]), np.array([1.0, 2.0]), np.eye(2),
+                np.array([0.25, 0.5]))
+        mu_old, sigma_old, mu_new, sigma_new, mu = args
+        want = dense_fuse(*args)
+        # neither padded spread dominates the other: the union is a new spread
+        assert not np.array_equal(want, pad_covariance(sigma_old, mu_old, mu))
+        assert not np.array_equal(want, pad_covariance(sigma_new, mu_new, mu))
+        for name in ("cholesky", "is_pd", "solve_triangular", "sym_eigen"):
+            monkeypatch.setattr(linalg, name, refuse)
+        assert np.allclose(fuse(*args), want, rtol=1e-12)
+
+    def test_non_finite_input_takes_the_dense_path(self):
+        # covariance_union refuses infs and NaNs; so must the closed form
+        bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            fuse(np.zeros(2), bad, np.zeros(2), np.eye(2), np.zeros(2))
 
 
 def low_rank_of(u2):
