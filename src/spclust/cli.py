@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,46 +26,52 @@ from .engine import SpcModel, SpcParams
 from .errors import DimensionMismatch, SpcError
 from .metrics import nmi, purity
 
-_FLOAT_KEYS = ("gamma", "beta", "m", "epsilon", "w_min", "nlt_max", "separation",
-               "cluster_std", "noise_std", "long_std")
-_INT_KEYS = ("n", "min_pts", "seed", "n_per_class", "n_clusters", "dim", "n_points",
-             "grid_resolution")
 
-_DEFAULTS = {
-    "n": 30, "gamma": 0.0, "beta": 0.0, "m": 1.5, "epsilon": 0.95,
-    "w_min": 0.01, "nlt_max": 3.0, "min_pts": 2,
-    "source": "two-circles", "order": "as-is", "seed": 0,
-    "csv_path": None, "feature_columns": None, "label_column": None,
-    "delimiter": ",",
-    "n_per_class": None, "n_clusters": None, "dim": None, "n_points": None,
-    "separation": None, "cluster_std": None, "noise_std": None, "long_std": None,
-    "outputs": "metrics,snapshot", "output_dir": "out",
-    "grid_bounds": None, "grid_resolution": 200,
+def _config_key(param: str) -> str:
+    """The configuration key of an SpcParams field: the budget is n."""
+    return "n" if param == "max_structures" else param
+
+
+_ENGINE_HELP = {
+    "max_structures": "structure budget", "gamma": "mean/scatter decay per step",
+    "beta": "weight decay per step", "m": "typicality fuzzifier (> 1)",
+    "epsilon": "DBSCAN radius on structure distance", "w_min": "prune threshold",
+    "nlt_max": "log-typicality limit for prune merges", "min_pts": "DBSCAN density threshold",
 }
 
-
-@dataclass
-class RunConfig:
-    """Typed view of one run's settings."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def params(self) -> SpcParams:
-        names = [f.name for f in fields(SpcParams)]
-        return SpcParams(**{k: self.values[_config_key(k)] for k in names})
-
-    @property
-    def outputs(self) -> set:
-        return {o.strip() for o in self.values["outputs"].split(",") if o.strip()}
+# Every setting, declared once: config key -> (type, default, help). The
+# key with dashes is its flag, the type coerces config-file and --sweep
+# values, and the engine's rows take type and default from SpcParams.
+# A generator setting left at None takes the generator's own default.
+_SETTINGS = {
+    **{_config_key(f.name): (f.type, f.default, _ENGINE_HELP[f.name])
+       for f in fields(SpcParams)},
+    "source": (str, "two-circles", None),
+    "order": (str, "as-is", None),
+    "seed": (int, 0, None),
+    "csv_path": (str, None, None),
+    "feature_columns": (str, None, "comma-separated indices or names"),
+    "label_column": (str, None, None),
+    "delimiter": (str, ",", None),
+    **dict.fromkeys(("n_per_class", "n_clusters", "dim", "n_points"), (int, None, None)),
+    **dict.fromkeys(("separation", "cluster_std", "noise_std", "long_std"),
+                    (float, None, None)),
+    "outputs": (str, "metrics,snapshot", "comma list of metrics,snapshot,assignments,grid"),
+    "output_dir": (str, "out", None),
+    "grid_bounds": (str, None, "x0,x1,y0,y1"),
+    "grid_resolution": (int, 200, None),
+}
+_CHOICES = {"source": SOURCES, "order": ORDER_MODES}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with a minus, as in "--grid-bounds
+    # -2,4,-2,2", for an unknown option: attach it as --grid-bounds=-2,4,-2,2
+    while "--grid-bounds" in argv[:-1]:
+        i = argv.index("--grid-bounds")
+        argv[i:i + 2] = ["--grid-bounds=" + argv[i + 1]]
+    args = _build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
         if args.command in ("run", "grid"):
@@ -88,47 +94,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", type=Path, default=None,
                        help="key=value file; flags override its entries")
-        p.add_argument("--n", type=int, help="structure budget")
-        p.add_argument("--gamma", type=float, help="mean/scatter decay per step")
-        p.add_argument("--beta", type=float, help="weight decay per step")
-        p.add_argument("--m", type=float, help="typicality fuzzifier (> 1)")
-        p.add_argument("--epsilon", type=float, help="DBSCAN radius on structure distance")
-        p.add_argument("--w-min", dest="w_min", type=float, help="prune threshold")
-        p.add_argument("--nlt-max", dest="nlt_max", type=float,
-                       help="log-typicality limit for prune merges")
-        p.add_argument("--min-pts", dest="min_pts", type=int, help="DBSCAN density threshold")
-        p.add_argument("--source", choices=SOURCES)
-        p.add_argument("--order", choices=ORDER_MODES)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--csv-path", dest="csv_path")
-        p.add_argument("--feature-columns", dest="feature_columns",
-                       help="comma-separated indices or names")
-        p.add_argument("--label-column", dest="label_column")
-        p.add_argument("--delimiter")
-        p.add_argument("--n-per-class", dest="n_per_class", type=int)
-        p.add_argument("--n-clusters", dest="n_clusters", type=int)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--n-points", dest="n_points", type=int)
-        p.add_argument("--separation", type=float)
-        p.add_argument("--cluster-std", dest="cluster_std", type=float)
-        p.add_argument("--noise-std", dest="noise_std", type=float)
-        p.add_argument("--long-std", dest="long_std", type=float)
-        p.add_argument("--outputs", help="comma list of metrics,snapshot,assignments,grid")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--grid-bounds", dest="grid_bounds", help="x0,x1,y0,y1")
-        p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
+        for key, (kind, _, text) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind,
+                           choices=_CHOICES.get(key), help=text)
         if name == "sweep":
             p.add_argument("--sweep", action="append", metavar="KEY=V1,V2,...",
                            help="parameter values to sweep (repeatable)")
     return parser
 
 
-def _merge_config(args) -> RunConfig:
-    values = dict(_DEFAULTS)
+def _merge_config(args) -> dict:
+    config = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if args.config is not None:
-        values.update(_load_config_file(args.config))
-    values.update({k: getattr(args, k) for k in values if getattr(args, k, None) is not None})
-    return RunConfig(values=values)
+        config.update(_load_config_file(args.config))
+    config.update({k: getattr(args, k) for k in config if getattr(args, k) is not None})
+    return config
 
 
 def _load_config_file(path: Path) -> dict:
@@ -141,18 +121,14 @@ def _load_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value)
+        out[key] = _SETTINGS[key][0](value)
     return out
 
 
-def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
+def _params(config: dict) -> SpcParams:
+    return SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
 
 
 _SOURCE_KEYS = {
@@ -164,25 +140,25 @@ _SOURCE_KEYS = {
 }
 
 
-def _build_stream(config: RunConfig):
-    v = config.values
-    source = v["source"]
+def _build_stream(config: dict):
+    source = config["source"]
     params = []
-    for key in _SOURCE_KEYS[source]:
-        if v[key] is None:
+    for key in _SOURCE_KEYS.get(source, ()):
+        value = config[key]
+        if value is None:
             continue
         if key == "csv_path":
-            params.append(("path", v[key]))
+            params.append(("path", value))
         elif key == "feature_columns":
-            params.append((key, tuple(_parse_column(c) for c in v[key].split(","))))
+            params.append((key, tuple(_parse_column(c) for c in value.split(","))))
         elif key == "label_column":
-            params.append(("label_column", _parse_column(v[key])))
+            params.append(("label_column", _parse_column(value)))
         else:
-            params.append((key, v[key]))
-    if source == "csv" and not v["csv_path"]:
+            params.append((key, value))
+    if source == "csv" and not config["csv_path"]:
         raise ValueError("csv source needs csv_path")
-    spec = StreamSpec(source=source, params=tuple(params), order=v["order"],
-                      seed=v["seed"])
+    spec = StreamSpec(source=source, params=tuple(params), order=config["order"],
+                      seed=config["seed"])
     return build_stream(spec)
 
 
@@ -194,13 +170,13 @@ def _parse_column(spec: str):
         return spec
 
 
-def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
+def _run_once(config: dict, grid_only: bool = False) -> dict:
     t0 = time.perf_counter()
     points = _build_stream(config)
     if not points:
         raise ValueError("empty stream: nothing to cluster")
 
-    params = config.params
+    params = _params(config)
     model = SpcModel(params)
     for p in points:
         model.update(p.x)
@@ -220,13 +196,13 @@ def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
         "diagnostics": model.diagnostics.as_dict(),
         "retired_age": model.retired_age,
         "params": {_config_key(k): v for k, v in asdict(params).items()},
-        "stream": {k: config.values[k] for k in
-                   ("source", "order", "seed", "csv_path") if config.values[k] is not None},
+        "stream": {k: config[k] for k in ("source", "order", "seed", "csv_path")
+                   if config[k] is not None},
     }
 
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {"grid"} if grid_only else config.outputs
+    outputs = {"grid"} if grid_only else {o.strip() for o in config["outputs"].split(",")}
 
     if "metrics" in outputs or not grid_only:
         _write_json(out_dir / "metrics.json", metrics)
@@ -241,11 +217,6 @@ def _run_once(config: RunConfig, grid_only: bool = False) -> dict:
     print(f"purity={metrics['purity']:.4f} nmi={metrics['nmi']:.4f} "
           f"structures={metrics['n_structures']} clusters={metrics['n_clusters']}")
     return metrics
-
-
-def _config_key(param: str) -> str:
-    """The configuration key of an SpcParams field: the budget is n."""
-    return "n" if param == "max_structures" else param
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -285,18 +256,18 @@ def _write_assignments(path: Path, points, pred) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_grid(path: Path, model: SpcModel, labels, config: RunConfig) -> None:
+def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
     if model.dim != 2:
         raise DimensionMismatch("decision grids need a 2-D model")
     bounds = config["grid_bounds"]
     if bounds is None:
-        mus = np.array([mu for mu, _ in model.factors()])
+        mus = np.array([s.mu for s in model.snapshot()])
         lo = mus.min(axis=0)
         hi = mus.max(axis=0)
         pad = 0.1 * np.maximum(hi - lo, 1.0)
         x0, x1, y0, y1 = lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
     else:
-        x0, x1, y0, y1 = (float(b) for b in str(bounds).split(","))
+        x0, x1, y0, y1 = (float(b) for b in bounds.split(","))
     res = int(config["grid_resolution"])
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
@@ -314,7 +285,7 @@ def _write_grid(path: Path, model: SpcModel, labels, config: RunConfig) -> None:
 _SWEEP_METRICS = ("purity", "nmi", "n_structures", "n_clusters")
 
 
-def _run_sweep(config: RunConfig, sweep_specs) -> None:
+def _run_sweep(config: dict, sweep_specs) -> None:
     if not sweep_specs:
         raise ValueError("sweep needs at least one --sweep KEY=V1,V2 specification")
     keys = []
@@ -324,22 +295,18 @@ def _run_sweep(config: RunConfig, sweep_specs) -> None:
             raise ValueError(f"bad sweep spec {spec!r}")
         key, _, values = spec.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ValueError(f"unknown sweep key {key!r}")
         keys.append(key)
-        value_lists.append([_coerce(key, v.strip()) for v in values.split(",")])
+        value_lists.append([_SETTINGS[key][0](v.strip()) for v in values.split(",")])
 
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for combo in itertools.product(*value_lists):
-        values = dict(config.values)
-        values.update(dict(zip(keys, combo)))
-        values["outputs"] = "metrics"
-        sub = RunConfig(values=values)
         sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in zip(keys, combo)))
-        sub.values["output_dir"] = str(sub_dir)
-        metrics = _run_once(sub)
+        metrics = _run_once({**config, **dict(zip(keys, combo)), "outputs": "metrics",
+                             "output_dir": str(sub_dir)})
         rows.append({**dict(zip(keys, combo)), **{k: metrics[k] for k in _SWEEP_METRICS}})
 
     header = keys + list(_SWEEP_METRICS)

@@ -117,8 +117,7 @@ def solve_norm_sq(chol_lower: np.ndarray, delta: np.ndarray):
     """
     d = delta.shape[0]
     if d > CLOSED_FORM_MAX_DIM:
-        y = solve_triangular(chol_lower, delta)
-        return float(y @ y)
+        return float(solve_norm_sq_many(chol_lower, delta[None])[0])
     y0 = delta[0] / chol_lower[0, 0]
     out = y0 * y0
     if d > 1:

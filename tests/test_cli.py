@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from spclust import cli
 from spclust.clustering import assign_with_distances
 from spclust.cli import main
+from spclust.datasets import SOURCES
+from spclust.engine import SpcParams
 
 
 def run_cli(*args):
@@ -74,6 +77,13 @@ class TestRun:
         cfg.write_text("wibble=3\n")
         assert run_cli("run", "--config", cfg, "--output-dir", tmp_path / "o") != 0
 
+    def test_unknown_source_in_config_fails_cleanly(self, tmp_path, capsys):
+        # a config file bypasses the flag's choices; the stream spec rejects it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("source=bogus\n")
+        assert run_cli("run", "--config", cfg, "--output-dir", tmp_path / "o") == 2
+        assert "unknown source 'bogus'" in capsys.readouterr().err
+
     def test_highdim_source_small(self, tmp_path):
         out = tmp_path / "out"
         rc = run_cli("run", "--source", "gaussian-highdim", "--n", "6",
@@ -99,6 +109,20 @@ class TestGrid:
         first = lines[1].split(",")
         assert float(first[0]) == -2.0
         assert float(first[1]) == -2.0
+
+    def test_negative_bounds_in_every_spelling(self, tmp_path):
+        # a value that starts with a minus must not be read as an option
+        args = ("grid", "--source", "two-circles", "--n", "6", "--seed", "3",
+                "--n-per-class", "40", "--grid-resolution", "12")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("grid_bounds=-2,4,-2,2\n")
+        assert run_cli(*args, "--grid-bounds", "-2,4,-2,2", "--output-dir", tmp_path / "a") == 0
+        assert run_cli(*args, "--grid-bounds=-2,4,-2,2", "--output-dir", tmp_path / "b") == 0
+        assert run_cli(*args, "--config", cfg, "--output-dir", tmp_path / "c") == 0
+        grid = (tmp_path / "a" / "grid.csv").read_bytes()
+        assert grid.splitlines()[1].startswith(b"-2.0,-2.0,")
+        assert (tmp_path / "b" / "grid.csv").read_bytes() == grid
+        assert (tmp_path / "c" / "grid.csv").read_bytes() == grid
 
     def test_grid_cell_at_structure_mean(self, tmp_path):
         out = tmp_path / "out"
@@ -155,6 +179,93 @@ class TestSweep:
         rc = run_cli("sweep", "--source", "two-circles",
                      "--output-dir", tmp_path / "o")
         assert rc != 0
+
+
+# One non-default value per setting, of the setting's type. Only the
+# grid bounds hold commas, which a --sweep value list would split.
+_VALUES = {
+    "n": 7, "gamma": 0.01, "beta": 0.02, "m": 1.7, "epsilon": 0.9, "w_min": 0.02,
+    "nlt_max": 2.5, "min_pts": 3, "source": "csv", "order": "shuffled", "seed": 5,
+    "csv_path": "data.csv", "feature_columns": "fy", "label_column": "cls",
+    "delimiter": ";", "n_per_class": 12, "n_clusters": 2, "dim": 3, "n_points": 40,
+    "separation": 8.0, "cluster_std": 0.3, "noise_std": 0.2, "long_std": 1.5,
+    "outputs": "snapshot", "output_dir": "elsewhere", "grid_bounds": "-2,4,-2,2",
+    "grid_resolution": 9,
+}
+_ENGINE_KEYS = ("n", "gamma", "beta", "m", "epsilon", "w_min", "nlt_max", "min_pts")
+
+
+def _flags(values):
+    return [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), str(v))]
+
+
+class TestSettingsTable:
+    def test_values_cover_every_setting(self):
+        assert set(_VALUES) == set(cli._SETTINGS)
+        assert [cli._config_key(k) for k in asdict(SpcParams())] == list(_ENGINE_KEYS)
+
+    @pytest.mark.parametrize("route", ["flag", "config", "sweep"])
+    def test_every_key_reaches_the_run(self, tmp_path, monkeypatch, route):
+        seen = []
+
+        def fake_run(config, grid_only=False):
+            seen.append(config)
+            return dict.fromkeys(cli._SWEEP_METRICS, 0)
+
+        monkeypatch.setattr(cli, "_run_once", fake_run)
+        monkeypatch.chdir(tmp_path)
+        values = dict(_VALUES)
+        if route == "flag":
+            assert run_cli("run", *_flags(values)) == 0
+        elif route == "config":
+            (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            assert run_cli("run", "--config", tmp_path / "run.cfg") == 0
+        else:
+            # a sweep sets its own outputs and output directories, and a
+            # value list splits the bounds at their commas
+            for key in ("outputs", "output_dir", "grid_bounds"):
+                del values[key]
+            assert run_cli("sweep", *(a for k, v in values.items()
+                                      for a in ("--sweep", f"{k}={v}"))) == 0
+        (config,) = seen
+        for key, value in values.items():
+            assert config[key] == value and type(config[key]) is type(value), key
+
+    def test_engine_defaults_are_spcparams(self, tmp_path):
+        assert run_cli("run", "--n-per-class", "10", "--output-dir", tmp_path) == 0
+        params = json.loads((tmp_path / "metrics.json").read_text())["params"]
+        expected = {cli._config_key(k): v for k, v in asdict(SpcParams()).items()}
+        assert params == expected
+        assert {k: type(v) for k, v in params.items()} == {k: type(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_values_reach_metrics_and_stream(self, tmp_path, monkeypatch, source):
+        specs = []
+        real_build = cli.build_stream
+        monkeypatch.setattr(cli, "build_stream", lambda spec: specs.append(spec) or real_build(spec))
+        data = tmp_path / "data.csv"
+        data.write_text("fx;fy;cls\n" + "0.0;0.1;a\n9.0;9.2;b\n0.2;0.0;a\n9.1;9.0;b\n" * 5)
+        values = {**_VALUES, "source": source, "csv_path": str(data), "outputs": "metrics",
+                  "output_dir": str(tmp_path / "out")}
+        assert run_cli("run", *_flags(values)) == 0
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["params"] == {k: values[k] for k in _ENGINE_KEYS}
+        assert metrics["stream"] == {k: values[k] for k in ("source", "order", "seed", "csv_path")}
+        for name in ("params", "stream"):
+            assert all(type(v) is type(values[k]) for k, v in metrics[name].items()), name
+        (spec,) = specs
+        expected = {
+            "csv": (("path", str(data)), ("feature_columns", ("fy",)), ("label_column", "cls"),
+                    ("delimiter", ";")),
+            "two-circles": (("n_per_class", 12),),
+            "sine-waves": (("n_per_class", 12), ("noise_std", 0.2)),
+            "overlapping-triangle": (("n_per_class", 12), ("long_std", 1.5)),
+            "gaussian-highdim": (("n_clusters", 2), ("dim", 3), ("n_points", 40),
+                                 ("separation", 8.0), ("cluster_std", 0.3)),
+        }[source]
+        assert (spec.source, spec.params, spec.order, spec.seed) == (source, expected,
+                                                                     "shuffled", 5)
+        assert [type(v) for _, v in spec.params] == [type(v) for _, v in expected]
 
 
 # Reference writers: one repr per element, rows joined into one string.
