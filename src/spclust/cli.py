@@ -11,6 +11,7 @@ for a fixed configuration.
 """
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -131,30 +132,21 @@ def _params(config: dict) -> SpcParams:
     return SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
 
 
-_SOURCE_KEYS = {
-    "csv": ("csv_path", "feature_columns", "label_column", "delimiter"),
-    "sine-waves": ("n_per_class", "noise_std"),
-    "overlapping-triangle": ("n_per_class", "long_std"),
-    "gaussian-highdim": ("n_clusters", "dim", "n_points", "separation", "cluster_std"),
-    "two-circles": ("n_per_class",),
-}
-
-
 def _build_stream(config: dict):
+    # each setting the source's function names (csv_path is path); seed and order go in the spec
     source = config["source"]
+    takes = inspect.signature(SOURCES[source]).parameters if source in SOURCES else ()
     params = []
-    for key in _SOURCE_KEYS.get(source, ()):
+    for key in _SETTINGS:
+        name = "path" if key == "csv_path" else key
         value = config[key]
-        if value is None:
+        if name not in takes or key in ("seed", "order") or value is None:
             continue
-        if key == "csv_path":
-            params.append(("path", value))
-        elif key == "feature_columns":
-            params.append((key, tuple(_parse_column(c) for c in value.split(","))))
+        if key == "feature_columns":
+            value = tuple(_parse_column(c) for c in value.split(","))
         elif key == "label_column":
-            params.append(("label_column", _parse_column(value)))
-        else:
-            params.append((key, value))
+            value = _parse_column(value)
+        params.append((name, value))
     if source == "csv" and not config["csv_path"]:
         raise ValueError("csv source needs csv_path")
     spec = StreamSpec(source=source, params=tuple(params), order=config["order"],
@@ -288,8 +280,7 @@ _SWEEP_METRICS = ("purity", "nmi", "n_structures", "n_clusters")
 def _run_sweep(config: dict, sweep_specs) -> None:
     if not sweep_specs:
         raise ValueError("sweep needs at least one --sweep KEY=V1,V2 specification")
-    keys = []
-    value_lists = []
+    sweeps = {}
     for spec in sweep_specs:
         if "=" not in spec:
             raise ValueError(f"bad sweep spec {spec!r}")
@@ -297,19 +288,24 @@ def _run_sweep(config: dict, sweep_specs) -> None:
         key = key.strip()
         if key not in _SETTINGS:
             raise ValueError(f"unknown sweep key {key!r}")
-        keys.append(key)
-        value_lists.append([_SETTINGS[key][0](v.strip()) for v in values.split(",")])
+        if key in sweeps:
+            raise ValueError(f"sweep key {key!r} given twice")
+        # each run writes only metrics.json to its own directory, and a value
+        # list would split the bounds at their commas
+        if key in ("outputs", "output_dir", "grid_bounds"):
+            raise ValueError(f"cannot sweep {key!r}")
+        sweeps[key] = [_SETTINGS[key][0](v.strip()) for v in values.split(",")]
 
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for combo in itertools.product(*value_lists):
-        sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in zip(keys, combo)))
-        metrics = _run_once({**config, **dict(zip(keys, combo)), "outputs": "metrics",
-                             "output_dir": str(sub_dir)})
-        rows.append({**dict(zip(keys, combo)), **{k: metrics[k] for k in _SWEEP_METRICS}})
+    for combo in itertools.product(*sweeps.values()):
+        run = dict(zip(sweeps, combo))
+        sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in run.items()))
+        metrics = _run_once({**config, **run, "outputs": "metrics", "output_dir": str(sub_dir)})
+        rows.append({**run, **{k: metrics[k] for k in _SWEEP_METRICS}})
 
-    header = keys + list(_SWEEP_METRICS)
+    header = list(sweeps) + list(_SWEEP_METRICS)
     lines = [",".join(header)] + [
         ",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header)
         for row in rows]

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import MissingColumn, ParseError
 
 ORDER_MODES = ("as-is", "shuffled", "round-robin-by-class", "sequential-by-class")
-SOURCES = ("csv", "two-circles", "sine-waves", "overlapping-triangle", "gaussian-highdim")
 
 # Default sine mix: amplitude, frequency, phase, vertical offset per class.
 # Offsets keep the waves from ever intersecting at the default noise level.
@@ -51,23 +50,14 @@ class StreamSpec:
 
     def __post_init__(self):
         if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}, expected one of {SOURCES}")
+            raise ValueError(f"unknown source {self.source!r}, expected one of {tuple(SOURCES)}")
         if self.order not in ORDER_MODES:
             raise ValueError(f"unknown order {self.order!r}, expected one of {ORDER_MODES}")
 
 
 def build_stream(spec: StreamSpec) -> list[LabeledPoint]:
     """Materialize the stream a StreamSpec describes."""
-    kwargs = dict(spec.params)
-    if spec.source == "csv":
-        return load_csv(order=spec.order, seed=spec.seed, **kwargs)
-    generator = {
-        "two-circles": gen_two_circles,
-        "sine-waves": gen_sine_waves,
-        "overlapping-triangle": gen_overlapping_triangle,
-        "gaussian-highdim": gen_gaussian_highdim,
-    }[spec.source]
-    points = generator(seed=spec.seed, **kwargs)
+    points = SOURCES[spec.source](seed=spec.seed, **dict(spec.params))
     if spec.order != "as-is":
         points = reorder(points, spec.order, spec.seed)
     return points
@@ -287,3 +277,9 @@ def gen_two_circles(n_per_class: int = 250, centers=((0.0, 0.0), (2.1, 0.0)),
             vectors.append(per_class[c][i])
             labels.append(c)
     return _stamp(vectors, labels)
+
+
+# Every stream source by name; build_stream passes its seed and the spec's params.
+SOURCES = {"csv": load_csv, "two-circles": gen_two_circles, "sine-waves": gen_sine_waves,
+           "overlapping-triangle": gen_overlapping_triangle,
+           "gaussian-highdim": gen_gaussian_highdim}

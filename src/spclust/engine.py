@@ -59,8 +59,9 @@ from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 
 # From this dimension up spreads are kept as identity plus low rank. By
 # measured ingest the low-rank form is faster at every d while k << d
-# (1.7x at d = 64 to 15x at d = 512), and up to d = 48 also at k = d;
-# streams that reach k = d are slower from d = 64 (3-4x from d = 128).
+# (1.7x at d = 64 to 15x at d = 512). Once structures reach k = d it is
+# no faster than the dense path at any d measured, 4-48 (README has the
+# ratios), and from d = 128 3-4x slower than the old rank-one union.
 _LOW_RANK_MIN_DIM = 32
 
 _SIGNS = np.array([[1.0], [-1.0]])  # delta and -delta: both directions of a row
@@ -453,8 +454,8 @@ class SpcModel:
             if pooled:
                 sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
                          + sigma_new * decay_norm(age_new, gamma)) / g
-            # raises on a spread without a factor while nothing has changed yet
-            chol = linalg.cholesky(sigma)
+            # raises before any state changes; keeps the spread it factors, jittered or not
+            sigma, chol = linalg.factored(sigma)
             chol.setflags(write=False)
         self.diagnostics.cu_fallbacks += pooled
         self.diagnostics.merges += 1

@@ -36,23 +36,29 @@ def cholesky(a: np.ndarray, jitter: bool = True) -> np.ndarray:
     Tries the factorization as-is first, so positive-definite inputs are
     reproduced exactly. If that fails, retries once with a small
     trace-scaled diagonal jitter (near-singular structure covariances,
-    e.g. from merges of identical points), unless jitter is False.
-    Raises NotPositiveDefinite if no factorization succeeds.
+    e.g. from merges of identical points), unless jitter is False;
+    factored() also returns the matrix factored. Raises
+    NotPositiveDefinite if no factorization succeeds.
     """
+    return factored(a, jitter)[1]
+
+
+def factored(a: np.ndarray, jitter: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) with L @ L.T == m: m is a, or a plus the jitter when a alone does not factor."""
     a = _finite(a)
     chol = _potrf(a)
     if chol is not None:
-        return chol
+        return a, chol
     dim = a.shape[0]
     if jitter:
-        shift = REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR)
-        chol = _potrf(_finite(a + shift * np.eye(dim)))
+        a = _finite(a + REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR) * np.eye(dim))
+        chol = _potrf(a)
     if chol is None:
         raise NotPositiveDefinite(
             f"matrix of dim {dim} is not positive-definite"
             + (" after regularization" if jitter else "")
         )
-    return chol
+    return a, chol
 
 
 def is_pd(a: np.ndarray) -> bool:

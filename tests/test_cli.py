@@ -180,6 +180,23 @@ class TestSweep:
                      "--output-dir", tmp_path / "o")
         assert rc != 0
 
+    def test_key_given_twice_fails(self, tmp_path, capsys):
+        # each run would use only the last value under a name with both
+        rc = run_cli("sweep", "--source", "two-circles", "--n-per-class", "20",
+                     "--output-dir", tmp_path / "o", "--sweep", "n=4", "--sweep", "n=5,6")
+        assert rc == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec", ["outputs=snapshot,assignments", "output_dir=a,b",
+                                      "grid_bounds=-2,4,-2,2"])
+    def test_key_a_run_ignores_fails(self, tmp_path, capsys, spec):
+        rc = run_cli("sweep", "--source", "two-circles", "--n-per-class", "20",
+                     "--output-dir", tmp_path / "o", f"--sweep={spec}")
+        assert rc == 2
+        assert repr(spec.partition("=")[0]) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 # One non-default value per setting, of the setting's type. Only the
 # grid bounds hold commas, which a --sweep value list would split.
@@ -221,8 +238,8 @@ class TestSettingsTable:
             (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
             assert run_cli("run", "--config", tmp_path / "run.cfg") == 0
         else:
-            # a sweep sets its own outputs and output directories, and a
-            # value list splits the bounds at their commas
+            # a sweep refuses these: it sets each run's outputs and output
+            # directory, and a value list would split the bounds
             for key in ("outputs", "output_dir", "grid_bounds"):
                 del values[key]
             assert run_cli("sweep", *(a for k, v in values.items()

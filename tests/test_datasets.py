@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spclust.datasets import (
+    ORDER_MODES,
     StreamSpec,
     build_stream,
     gen_gaussian_highdim,
@@ -243,6 +244,18 @@ class TestTwoCircles:
         pts = build_stream(spec)
         assert len(pts) == 2
         assert np.array_equal(pts[0].x, [1.0, 2.0])
+
+    @pytest.mark.parametrize("order", ORDER_MODES)
+    def test_stream_spec_csv_orders_as_load_csv(self, tmp_path, order):
+        # build_stream reorders a csv stream as it does a generator's
+        path = tmp_path / "d.csv"
+        path.write_text("x,cls\n" + "".join(f"{i}.5,{c}\n" for i, c in enumerate("abbaabbbaabb")))
+        spec = StreamSpec(source="csv", params=(("path", str(path)),), order=order, seed=3)
+        via_spec = [(p.x.tolist(), p.label, p.t) for p in build_stream(spec)]
+        direct = [(p.x.tolist(), p.label, p.t) for p in load_csv(path, order=order, seed=3)]
+        as_is = [(p.x.tolist(), p.label, p.t) for p in load_csv(path)]
+        assert via_spec == direct
+        assert (via_spec == as_is) == (order == "as-is")
 
     def test_fuzzifier_contrast_between_discs(self):
         # a structure fitted to the left disc: with a small fuzzifier the

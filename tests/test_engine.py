@@ -376,6 +376,23 @@ class TestFactorInvariant:
                 assert np.array_equal(d, 1.0 - np.eye(len(model)))
 
 
+class TestStoredFactorDescribesSpread:
+    """Below d = 32 the stored factor is the factor of the reported spread,
+    also where the merge had to jitter the spread to factor it."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_hostile_streams_need_no_jitter_allowance(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-8, 1.0, 1e8, 1e16, 1e100):
+            for kind in ("normal", "duplicates", "collinear"):
+                model = SpcModel(SpcParams(max_structures=5, gamma=0.1, beta=0.1))
+                for x in hostile_stream(rng, kind, dim, scale):
+                    model.update(x)
+                    for (_, chol), s in zip(model.factors(), model.snapshot()):
+                        residual = chol @ chol.T - s.sigma
+                        assert np.abs(residual).max() <= 1e-13 * np.abs(s.sigma).max()
+
+
 def random_basis(rng, dim, k):
     return np.linalg.qr(rng.standard_normal((dim, k)))[0]
 
