@@ -15,37 +15,29 @@ window length and adds the younger one's, the damped sum over both
 windows in closed form. The mean window is the structure's age, one
 step per absorbed point; the weight window advances on every weight
 update. Spreads are kept normalized: a merge takes the covariance union
-of the two padded spreads (at d = 2 in closed form, fusion.fuse) and
-pools the damped scatters only when that union fails. So every spread
-dominates the identity and has a Cholesky factor; below d = 32 a merge
-whose spread does not factor raises before it changes anything.
-
-From d = 32 every spread is I + S diag(lam - 1) S' with S (d x k)
-orthonormal, every lam > 1 and k <= age - 1, and a merge runs the union
-on the projections onto the span of both bases and the offset between
-the means (fusion.union_absorbing_unit). There the store keeps (S, lam)
-and no dense spread or factor; snapshot() and factors() build those on
-demand.
+of the two padded spreads and pools the damped scatters only when that
+union fails (fusion.merge, which also decides the form a spread is
+stored in). So every spread dominates the identity and has a Cholesky
+factor; a merge that raises does so before it changes anything.
 
 The store keeps N + 1 slots: stacked means, weight accumulators,
 weights, ages, weight ages and ids as arrays, a dense pairwise distance
-matrix, and per slot its mean (read-only), mean accumulator and spread,
-below d = 32 with its read-only lower Cholesky factor. Slots stay in
-ascending-id order: new structures (singletons and merge results) take
-the next id and append, removals compact in one pass. numpy's
-first-minimum rule is the tie-break everywhere: the closest pair is the
-least (distance, smaller id, larger id); a pruned structure goes to the
-lowest id among equally typical targets; prune candidates run in
-(weight, id) order, each against the store the previous one left.
+matrix, and per slot its mean (read-only), mean accumulator and spread
+(a fusion.Spread). Slots stay in ascending-id order: new structures
+(singletons and merge results) take the next id and append, removals
+compact in one pass. numpy's first-minimum rule is the tie-break
+everywhere: the closest pair is the least (distance, smaller id, larger
+id); a pruned structure goes to the lowest id among equally typical
+targets; prune candidates run in (weight, id) order, each against the
+store the previous one left.
 
-Each slot's factor and its distances to the earlier slots are computed
-once, when it is filled; a singleton's row also gives the new point's
-typicality in every structure for the weight update. Up to d = 3 the
-factors are stacked and one call of linalg.solve_norm_sq's closed form
-gives a whole row in both directions, bit for bit what
-structure_distance computes pair by pair. From d = 4 each slot keeps its
-own triangular solves, from d = 32 linalg.low_rank_norm_sq, O(dk) per
-distance. The offline DBSCAN reads this same matrix through distances().
+Each slot's distances to the earlier slots are computed once, when it
+is filled; a singleton's row also gives the new point's typicality in
+every structure for the weight update. Up to d = 3 the factors are
+stacked and one call of linalg.solve_norm_sq's closed form gives a
+whole row in both directions, bit for bit what structure_distance
+computes pair by pair. From d = 4 each spread's own norm_sq gives them.
+The offline DBSCAN reads this same matrix through distances().
 """
 
 import math
@@ -56,13 +48,6 @@ import numpy as np
 from . import fusion, linalg
 from .errors import DimensionMismatch, UnknownIdentifier
 from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
-
-# From this dimension up spreads are kept as identity plus low rank. By
-# measured ingest the low-rank form is faster at every d while k << d
-# (1.7x at d = 64 to 15x at d = 512). Once structures reach k = d it is
-# no faster than the dense path at any d measured, 4-48 (README has the
-# ratios), and from d = 128 3-4x slower than the old rank-one union.
-_LOW_RANK_MIN_DIM = 32
 
 _SIGNS = np.array([[1.0], [-1.0]])  # delta and -delta: both directions of a row
 
@@ -150,7 +135,6 @@ class SpcModel:
         self.dim: int | None = None
         self.diagnostics = Diagnostics()
         self.retired_age = 0
-        self._low_rank = False
         self._next_id = 0
         self._n = 0
         cap = params.max_structures + 1
@@ -161,13 +145,10 @@ class SpcModel:
         self._weight_age = np.zeros(cap, dtype=np.int64)
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
-        # per slot: mean (read-only), mean accumulator, spread and factor;
-        # below d = 32 the spread is a dense array with a read-only lower
-        # factor, from d = 32 a fusion.LowRankSpread without one (None)
+        # per slot: mean (read-only), mean accumulator and spread
         self._mus: list[np.ndarray] = []
         self._mean_accs: list[np.ndarray] = []
-        self._sigmas: list = []
-        self._chols: list[np.ndarray] = []
+        self._sigmas: list[fusion.Spread] = []
         # set with the first point: stacked means, and for d <= 3 the factors
         # in the closed-form kernel's layout, (d, d, 2, N + 1): [..., 0, k] is
         # slot k's factor, [..., 1, :s] slot s's while its row is made
@@ -183,11 +164,10 @@ class SpcModel:
     def snapshot(self) -> list[Structure]:
         """Normalized copies of all structures, ordered by identifier.
 
-        Every mean and spread is copied; from d = 32 each spread is built
-        from its low-rank form by the call.
+        Every mean and spread is copied; a low-rank spread is built here.
         """
         return [
-            Structure(mu=self._mus[k].copy(), sigma=self._dense_sigma(k),
+            Structure(mu=self._mus[k].copy(), sigma=self._sigmas[k].dense(),
                       weight=float(self._weight[k]), age=int(self._age[k]))
             for k in range(self._n)
         ]
@@ -195,16 +175,11 @@ class SpcModel:
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
-        Below d = 32 these are the engine's own read-only arrays, valid
-        after later updates, which replace arrays rather than mutate them.
-        From d = 32 each call factors the spreads snapshot() builds.
+        Of a dense spread these are the engine's own read-only arrays, valid
+        after later updates, which replace arrays rather than mutate them;
+        a low-rank spread is built and factored by the call.
         """
-        if not self._low_rank:
-            return list(zip(self._mus, self._chols))
-        chols = [linalg.cholesky(self._dense_sigma(k)) for k in range(self._n)]
-        for chol in chols:
-            chol.setflags(write=False)
-        return list(zip(self._mus, chols))
+        return [(mu, spread.factor()) for mu, spread in zip(self._mus, self._sigmas)]
 
     def distances(self) -> np.ndarray:
         """Symmetric copy of the distance matrix in id order, zero diagonal.
@@ -219,20 +194,15 @@ class SpcModel:
         """Squared Mahalanobis distances of (n, d) points, one row per structure.
 
         A generator over the structures in id order, so a caller holds one
-        row at a time. Below d = 32 each row is a many-column solve against
-        the cached factor, from d = 32 the low-rank kernel the engine's own
-        distances use; no spread is built or factored.
+        row at a time. Each row is the spread's own norm_sq, the kernel the
+        engine's distances use from d = 4; no spread is built or factored.
         """
-        for k in range(self._n):
-            deltas = points - self._mus[k]
-            if self._low_rank:
-                yield self._sigmas[k].norm_sq(deltas)
-            else:
-                yield linalg.solve_norm_sq_many(self._chols[k], deltas)
+        for mu, spread in zip(self._mus, self._sigmas):
+            yield spread.norm_sq(points - mu)
 
     def update(self, x) -> None:
         """Consume one stream point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.array(x, dtype=float, ndmin=1)  # a copy: the singleton keeps it
         if x.ndim != 1 or not x.size:
             raise DimensionMismatch(f"expected a nonempty vector, got shape {x.shape}")
         if not np.isfinite(x).all():
@@ -241,7 +211,6 @@ class SpcModel:
             self.dim = x.shape[0]
             cap = self.params.max_structures + 1
             self._mu = np.zeros((cap, self.dim))
-            self._low_rank = self.dim >= _LOW_RANK_MIN_DIM
             if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
                 self._chol = np.zeros((self.dim, self.dim, 2, cap))
         elif x.shape[0] != self.dim:
@@ -250,7 +219,7 @@ class SpcModel:
         self.clock += 1
         # the singleton's distance row already holds x's typicality in every
         # earlier structure
-        typicality = self._add_singleton(x)
+        typicality = self._append(x, x, fusion.unit(self.dim), 1.0, 1, 1, 1.0)
         if self._n <= self.params.max_structures:
             return
 
@@ -262,8 +231,8 @@ class SpcModel:
     def merge_structures(self, ident_a: int, ident_b: int) -> None:
         """Merge two structures selected by identifier.
 
-        Below d = 32 raises NotPositiveDefinite if the merged spread has no
-        Cholesky factor. A merge that raises leaves the model as it was.
+        Raises NotPositiveDefinite if the merged spread has no Cholesky
+        factor. A merge that raises leaves the model as it was.
         """
         if ident_a == ident_b:
             raise ValueError("cannot merge a structure with itself")
@@ -277,17 +246,7 @@ class SpcModel:
             raise UnknownIdentifier(f"no structure with identifier {ident}")
         return int(hits[0])
 
-    def _add_singleton(self, x: np.ndarray) -> np.ndarray:
-        x = x.copy()
-        if self._low_rank:
-            return self._append(x, x, fusion.LowRankSpread.unit(x.shape[0]), None,
-                                1.0, 1, 1, 1.0)
-        # shared read-only identity: nothing downstream mutates a spread
-        # in place, and snapshot() hands out copies
-        unit = fusion.unit_spread(x.shape[0])
-        return self._append(x, x, unit, unit, 1.0, 1, 1, 1.0)
-
-    def _append(self, mean_acc, mu, sigma, chol, weight_acc, age, weight_age,
+    def _append(self, mean_acc, mu, sigma, weight_acc, age, weight_age,
                 weight) -> np.ndarray:
         """Fill the next slot and its column of distances to every earlier slot.
 
@@ -298,10 +257,9 @@ class SpcModel:
         self._mus.append(mu)
         self._mean_accs.append(mean_acc)
         self._sigmas.append(sigma)
-        self._chols.append(chol)
         self._mu[s] = mu
         if self._chol is not None:
-            self._chol[:, :, 0, s] = chol
+            self._chol[:, :, 0, s] = sigma.factor()
         self._ids[s] = self._next_id
         self._next_id += 1
         self._weight_acc[s] = weight_acc
@@ -320,7 +278,7 @@ class SpcModel:
         keep = list(range(self._n))
         for k in sorted(slots, reverse=True):
             del keep[k]
-            for per_slot in (self._mus, self._mean_accs, self._sigmas, self._chols):
+            for per_slot in (self._mus, self._mean_accs, self._sigmas):
                 del per_slot[k]
         # slots below the first dropped one stay where they are
         n, lo = len(keep), min(slots)
@@ -353,9 +311,7 @@ class SpcModel:
             dsq = _closed_form_dsq(delta.T[:, None] * _SIGNS, chols)
         else:
             new_in_old = self._dsq_at(self._mu[s], np.arange(s))
-            old_from_new = self._mu[:s] - self._mu[s]
-            old_in_new = (self._sigmas[s].norm_sq(old_from_new) if self._low_rank
-                          else _dsq_many(self._chols[s], old_from_new))
+            old_in_new = fusion.norm_sq(self._sigmas[s], self._mu[:s] - self._mu[s])
             dsq = np.stack((new_in_old, old_in_new))
         u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
@@ -366,16 +322,7 @@ class SpcModel:
         deltas = point - self._mu[slots]
         if self._chol is not None:
             return _closed_form_dsq(deltas.T, self._chol[:, :, 0, slots])
-        if self._low_rank:
-            return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
-        return np.concatenate([_dsq_many(self._chols[k], deltas[i:i + 1])
-                               for i, k in enumerate(slots)])
-
-    def _dense_sigma(self, slot: int) -> np.ndarray:
-        """A new dense copy of one slot's spread."""
-        if self._low_rank:
-            return self._sigmas[slot].dense()
-        return self._sigmas[slot].copy()
+        return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
 
     def _update_weights(self, typicality: np.ndarray) -> None:
         """Fold x's typicality into every weight; the newest slot is x itself."""
@@ -432,38 +379,19 @@ class SpcModel:
         weight_acc = (math.exp(-beta * wage_new) * float(self._weight_acc[older])
                       + float(self._weight_acc[younger]))
         age = age_old + age_new
-        g = decay_norm(age, gamma)
+        norm_old, norm_new, g = decay_norms([age_old, age_new, age], gamma)
         mu = mean_acc / g
-
-        mu_old, mu_new = self._mus[older], self._mus[younger]
-        sigma_old, sigma_new = self._sigmas[older], self._sigmas[younger]
-
-        # when the union fails on a degenerate spread, the damped scatters
-        # are pooled
-        chol = None
-        if self._low_rank:
-            sigma = fusion.union_absorbing_unit(sigma_old, sigma_new, mu_old, mu_new, mu)
-            pooled = sigma is None
-            if pooled:
-                sigma = fusion.pool_projected(sigma_old, sigma_new, mu_new - mu_old,
-                                              shift * decay_norm(age_old, gamma) / g,
-                                              decay_norm(age_new, gamma) / g)
-        else:
-            sigma = fusion.fuse(mu_old, sigma_old, mu_new, sigma_new, mu)
-            pooled = sigma is None
-            if pooled:
-                sigma = (shift * (sigma_old * decay_norm(age_old, gamma))
-                         + sigma_new * decay_norm(age_new, gamma)) / g
-            # raises before any state changes; keeps the spread it factors, jittered or not
-            sigma, chol = linalg.factored(sigma)
-            chol.setflags(write=False)
+        # raises before any state changes
+        sigma, pooled = fusion.merge(self._sigmas[older], self._sigmas[younger],
+                                     self._mus[older], self._mus[younger], mu,
+                                     shift, norm_old, norm_new, g)
         self.diagnostics.cu_fallbacks += pooled
         self.diagnostics.merges += 1
 
         self._drop(a, b)
         weight_age = wage_old + wage_new
         weight = min(1.0, weight_acc / decay_norm(weight_age, beta))
-        self._append(mean_acc, mu, sigma, chol, weight_acc, age, weight_age, weight)
+        self._append(mean_acc, mu, sigma, weight_acc, age, weight_age, weight)
 
 
 def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
@@ -472,11 +400,3 @@ def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
     out = linalg.solve_norm_sq(chols, deltas)
     out[np.isnan(out)] = math.inf
     return out
-
-
-def _dsq_many(chol: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Row-wise delta' Sigma^-1 delta of d >= 4 deltas under one factor: one
-    triangular solve with many right-hand sides, one einsum for a unit singleton."""
-    if chol is fusion.unit_spread(deltas.shape[1]):
-        return np.einsum("ij,ij->i", deltas, deltas)
-    return linalg.solve_norm_sq_many(chol, deltas)

@@ -1,4 +1,5 @@
-"""Conservative fusion of two (mean, covariance) pairs with unequal means.
+"""Conservative fusion of two (mean, covariance) pairs with unequal means,
+and the two forms in which the engine stores a spread.
 
 Pooling two covariances is only meaningful when the means agree. When
 they differ, each covariance is first padded by the outer product of its
@@ -8,15 +9,15 @@ the whitened eigenvalues at one, and transform back. The result
 dominates both padded inputs in the Loewner order, so the fused
 structure's reach covers everything either constituent could explain.
 
-fuse works on dense normalized (mean, spread) pairs, the form the
-streaming engine keeps below d = 32; the fused mean comes from the
-caller's damped accumulators. At d = 2 it runs in Python floats with no
-LAPACK call (_union_2x2); covariance_union is the general path and the
-oracle. From d = 32 the engine keeps every spread as a LowRankSpread,
-I + B diag(lam - 1) B', and union_absorbing_unit merges two of them by
-running covariance_union on their projections onto the few directions
-where the padded spreads differ from the identity; pool_projected is its
-pooled fallback on the same projection.
+Below LOW_RANK_MIN_DIM a stored spread is a DenseSpread (the d x d
+spread and its read-only lower Cholesky factor), from it a LowRankSpread
+I + B diag(lam - 1) B', B (d x k) orthonormal, every lam > 1, k <= age - 1.
+unit(d) is the unit singletons' spread in the form for d; merge fuses two
+stored spreads: dense ones through fuse (at d = 2 in Python floats,
+_union_2x2; covariance_union is the general path and the oracle),
+low-rank ones through union_absorbing_unit, covariance_union on the few
+directions where the padded spreads differ from the identity. When the
+union fails, the damped scatters are pooled.
 """
 
 import math
@@ -27,17 +28,12 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NoConvergence, NotPositiveDefinite
 
-_UNIT_SPREADS: dict[int, np.ndarray] = {}
-
-
-def unit_spread(dim: int) -> np.ndarray:
-    """The shared read-only identity spread (and factor) of unit singletons."""
-    cached = _UNIT_SPREADS.get(dim)
-    if cached is None:
-        cached = np.eye(dim)
-        cached.setflags(write=False)
-        _UNIT_SPREADS[dim] = cached
-    return cached
+# From this dimension up spreads are kept as identity plus low rank. By
+# measured ingest the low-rank form is faster at every d while k << d
+# (1.7x at d = 64 to 15x at d = 512). Once structures reach k = d it is
+# no faster than the dense path at any d measured, 4-48 (README has the
+# ratios), and from d = 128 3-4x slower than the old rank-one union.
+LOW_RANK_MIN_DIM = 32
 
 
 def pad_covariance(sigma: np.ndarray, mu: np.ndarray, mu_candidate: np.ndarray) -> np.ndarray:
@@ -93,6 +89,25 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return 0.5 * (fused + fused.T)
 
 
+class DenseSpread(NamedTuple):
+    """A d x d spread and its read-only lower Cholesky factor."""
+
+    sigma: np.ndarray
+    chol: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """A new copy of the spread."""
+        return self.sigma.copy()
+
+    def factor(self) -> np.ndarray:
+        """The stored factor."""
+        return self.chol
+
+    def norm_sq(self, deltas: np.ndarray) -> np.ndarray:
+        """Row-wise delta' spread^-1 delta for (n, d) deltas, one triangular solve."""
+        return linalg.solve_norm_sq_many(self.chol, deltas)
+
+
 class LowRankSpread(NamedTuple):
     """The spread I + basis diag(lam - 1) basis'.
 
@@ -103,13 +118,15 @@ class LowRankSpread(NamedTuple):
     basis: np.ndarray
     lam: np.ndarray
 
-    @classmethod
-    def unit(cls, dim: int) -> "LowRankSpread":
-        return cls(np.empty((dim, 0)), np.empty(0))
-
     def dense(self) -> np.ndarray:
         """The d x d spread, bitwise symmetric."""
         return _identity_plus(self.basis, self.lam - 1.0)
+
+    def factor(self) -> np.ndarray:
+        """A new read-only lower Cholesky factor of dense()."""
+        chol = linalg.cholesky(self.dense())
+        chol.setflags(write=False)
+        return chol
 
     def norm_sq(self, deltas: np.ndarray) -> np.ndarray:
         """Row-wise delta' spread^-1 delta for (n, d) deltas, O(ndk)."""
@@ -120,19 +137,77 @@ class LowRankSpread(NamedTuple):
         return _identity_plus(q.T @ self.basis, self.lam - 1.0)
 
 
-def norm_sq_rows(spreads: list[LowRankSpread], deltas: np.ndarray) -> np.ndarray:
+Spread = DenseSpread | LowRankSpread
+
+_UNITS: dict[tuple[int, bool], Spread] = {}
+
+
+def unit(dim: int) -> Spread:
+    """The identity spread of unit singletons, in the form for dim.
+
+    One read-only object per form and dim, so `spread is unit(dim)` tells
+    a unit singleton: nothing mutates a spread in place.
+    """
+    low_rank = dim >= LOW_RANK_MIN_DIM
+    cached = _UNITS.get((dim, low_rank))
+    if cached is None:
+        if low_rank:
+            cached = LowRankSpread(np.empty((dim, 0)), np.empty(0))
+        else:
+            eye = np.eye(dim)
+            cached = DenseSpread(eye, eye)
+        for arr in cached:
+            arr.setflags(write=False)
+        _UNITS[dim, low_rank] = cached
+    return cached
+
+
+def norm_sq(spread: Spread, deltas: np.ndarray) -> np.ndarray:
+    """spread.norm_sq(deltas), under a unit singleton one einsum."""
+    if spread is unit(deltas.shape[1]):
+        return np.einsum("ij,ij->i", deltas, deltas)
+    return spread.norm_sq(deltas)
+
+
+def norm_sq_rows(spreads: list[Spread], deltas: np.ndarray) -> np.ndarray:
     """Row i of (n, d) deltas under spreads[i], for n spreads.
 
-    The rows under unit singletons (k = 0), where the form is the plain
-    squared norm, take one call together: most rows of a singleton's
-    distance row are of that kind, and a call per row costs more than
-    the arithmetic.
+    The rows under unit singletons, where the form is the plain squared
+    norm, take one call together: most rows of a singleton's distance
+    row are of that kind, and a call per row costs more than the
+    arithmetic.
     """
+    one = unit(deltas.shape[1])
     out = np.einsum("ij,ij->i", deltas, deltas)
     for row, spread in enumerate(spreads):
-        if spread.lam.size:
+        if spread is not one:
             out[row] = spread.norm_sq(deltas[row:row + 1])[0]
     return out
+
+
+def merge(old: Spread, new: Spread, mu_old: np.ndarray, mu_new: np.ndarray,
+          mu: np.ndarray, shift: float, n_old: float, n_new: float,
+          g: float) -> tuple[Spread, bool]:
+    """(spread, pooled): the older structure's spread merged with the younger's at mu.
+
+    pooled: the union failed and the damped scatters were pooled, the older
+    ones shifted by shift; n_old, n_new and g are the window normalizers of
+    the two ages and their sum. A dense spread is factored here, so a spread
+    with no factor raises NotPositiveDefinite before the caller changes state.
+    """
+    if isinstance(old, LowRankSpread):
+        spread = union_absorbing_unit(old, new, mu_old, mu_new, mu)
+        if spread is not None:
+            return spread, False
+        return pool_projected(old, new, mu_new - mu_old, shift * n_old / g, n_new / g), True
+    sigma = fuse(mu_old, old.sigma, mu_new, new.sigma, mu)
+    pooled = sigma is None
+    if pooled:
+        sigma = (shift * (old.sigma * n_old) + new.sigma * n_new) / g
+    # keeps the spread it factors, jittered or not
+    sigma, chol = linalg.factored(sigma)
+    chol.setflags(write=False)
+    return DenseSpread(sigma, chol), pooled
 
 
 # Eigenvalues of a merged projection within RANK_TOL * (largest eigenvalue)
@@ -154,8 +229,8 @@ def union_absorbing_unit(old: LowRankSpread, new: LowRankSpread, mu_old: np.ndar
     eigenvalues above one by more than RANK_TOL relative to the largest.
     The older structure is the factored side, as in fuse. Returns None
     when the union fails on a degenerate spread, so the caller can pool.
-    It serves every merge from d = 32 up; the benchmark's tracer looks it
-    up by the name of the singleton union it replaced.
+    It serves every merge of low-rank spreads; the benchmark's tracer
+    looks it up by the name of the singleton union it replaced.
     """
     q = _span_basis(old, new, mu_new - mu_old)
     p_old, p_new = q.T @ (mu - mu_old), q.T @ (mu - mu_new)

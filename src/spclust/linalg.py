@@ -74,8 +74,8 @@ def _potrf(a: np.ndarray) -> np.ndarray | None:
     return chol if info == 0 else None
 
 
-def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
-    """x with a @ x == b for triangular a; b is a vector or a matrix of columns.
+def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x == b for lower-triangular a; b is a vector or a matrix of columns.
 
     Mirrors scipy.linalg.solve_triangular: a C-ordered a is passed to
     LAPACK as the transposed system of its Fortran view.
@@ -83,9 +83,9 @@ def solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool = True) -> np.nda
     if b.size == 0:
         return np.empty_like(b, dtype=float)
     if a.flags.f_contiguous:
-        x, info = lapack.dtrtrs(a, b, lower=lower)
+        x, info = lapack.dtrtrs(a, b, lower=True)
     else:
-        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=1)
+        x, info = lapack.dtrtrs(a.T, b, lower=False, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular triangular matrix at diagonal {info - 1}")
     if info < 0:

