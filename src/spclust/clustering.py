@@ -9,6 +9,9 @@ therefore every point, always has a label.
 DBSCAN reads the engine's own distance matrix (SpcModel.distances()),
 assignment the engine's per-structure distance kernels
 (SpcModel.sq_distance_rows()); no spread is copied or factored again.
+Assignment takes the points a fixed-size block at a time and keeps a
+running minimum over the structures' rows, so it holds O(P + block * d)
+values for P points rather than a structures-by-points matrix.
 """
 
 from collections import deque
@@ -20,6 +23,10 @@ from .engine import SpcModel
 from .errors import DimensionMismatch
 from .typicality import _typicality_of_dsq
 from . import linalg
+
+# Queries are assigned in blocks of this many float64 values (128 KiB), a
+# block of points at a time, so that each row of distances stays in cache.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass
@@ -112,7 +119,9 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     """Vectorized assignment returning (cluster_ids, structure_ids, distances).
 
     points is an (n, dim) array; a 1-D array is read as n scalars only
-    when the model itself is one-dimensional.
+    when the model itself is one-dimensional. Up to d = 3 each distance
+    is bit for bit decision_distance's. A point whose offset from a mean
+    overflows is at distance 1.0 from that structure.
     """
     ids = model.ids()
     if not ids:
@@ -126,15 +135,20 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise DimensionMismatch(f"expected points of dim {model.dim}, got shape {pts.shape}")
     m = model.params.m
+    n = pts.shape[0]
+    block = max(1, _BLOCK_VALUES // model.dim)
 
-    dist = np.empty((len(ids), pts.shape[0]))
-    for row, d_sq in enumerate(model.sq_distance_rows(pts)):
-        # a zero delta gives exactly 0
-        u = _typicality_of_dsq(d_sq, m)
-        dist[row] = 1.0 - u * u
-    # argmin returns the first minimum, and rows are in ascending-id order,
-    # so ties resolve to the lowest identifier.
-    nearest = np.argmin(dist, axis=0)
+    nearest = np.zeros(n, dtype=np.intp)
+    dist = np.full(n, np.inf)
+    for lo in range(0, n, block):
+        best, best_row = dist[lo:lo + block], nearest[lo:lo + block]
+        # rows come in ascending-id order and only a strictly smaller
+        # distance replaces the running minimum, so ties go to the lowest id
+        for row, d_sq in enumerate(model.sq_distance_rows(pts[lo:lo + block])):
+            u = _typicality_of_dsq(d_sq, m)
+            row_dist = 1.0 - u * u
+            closer = row_dist < best
+            np.copyto(best, row_dist, where=closer)
+            np.copyto(best_row, row, where=closer)
     label_arr = np.asarray([labels.labels[i] for i in ids])
-    cols = np.arange(pts.shape[0])
-    return label_arr[nearest], np.asarray(ids)[nearest], dist[nearest, cols]
+    return label_arr[nearest], np.asarray(ids)[nearest], dist

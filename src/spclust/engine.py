@@ -194,11 +194,17 @@ class SpcModel:
         """Squared Mahalanobis distances of (n, d) points, one row per structure.
 
         A generator over the structures in id order, so a caller holds one
-        row at a time. Each row is the spread's own norm_sq, the kernel the
-        engine's distances use from d = 4; no spread is built or factored.
+        row at a time. Each row goes through the kernel of the engine's own
+        distance rows: up to d = 3 the closed form on the stored factor, bit
+        for bit what decision_distance computes point by point; from d = 4
+        fusion.norm_sq, a plain squared norm under a unit singleton. No
+        spread is built or factored, and a point whose offset overflows is
+        infinitely far.
         """
-        for mu, spread in zip(self._mus, self._sigmas):
-            yield spread.norm_sq(points - mu)
+        if self._chol is not None:
+            points = np.ascontiguousarray(points.T)  # the closed form's (d, n) layout
+        for k in range(self._n):
+            yield self._point_dsq(points, k)
 
     def update(self, x) -> None:
         """Consume one stream point."""
@@ -324,6 +330,14 @@ class SpcModel:
             return _closed_form_dsq(deltas.T, self._chol[:, :, 0, slots])
         return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def _point_dsq(self, points: np.ndarray, k: int) -> np.ndarray:
+        """Squared Mahalanobis distance of each point under slot k's spread;
+        up to d = 3 the points are the columns of a (d, n) array."""
+        if self._chol is not None:
+            return _closed_form_dsq(points - self._mu[k, :, None], self._chol[:, :, 0, k])
+        return _far_if_nan(fusion.norm_sq(self._sigmas[k], points - self._mu[k]))
+
     def _update_weights(self, typicality: np.ndarray) -> None:
         """Fold x's typicality into every weight; the newest slot is x itself."""
         n = self._n
@@ -396,7 +410,11 @@ class SpcModel:
 
 def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
     """delta' (L L')^-1 delta for d <= 3 over the trailing axes of (d, ...) deltas
-    and (d, d, ...) factors; an overflowing delta (NaN via 0 * inf) is infinitely far."""
-    out = linalg.solve_norm_sq(chols, deltas)
-    out[np.isnan(out)] = math.inf
-    return out
+    and (d, d, ...) factors."""
+    return _far_if_nan(linalg.solve_norm_sq(chols, deltas))
+
+
+def _far_if_nan(dsq: np.ndarray) -> np.ndarray:
+    """An overflowing delta (NaN via 0 * inf or inf - inf) is infinitely far."""
+    dsq[np.isnan(dsq)] = math.inf
+    return dsq

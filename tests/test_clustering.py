@@ -1,7 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from spclust import linalg
+from spclust import clustering, linalg
 from spclust.clustering import (
     assign_points,
     assign_with_distances,
@@ -340,3 +343,129 @@ class TestAssignPoints:
                     d = structure_distance(snap[i], snap[j], model.params.m)
                     if d < model.params.epsilon:
                         assert labels.labels[i] == labels.labels[j]
+
+
+def as_bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def nearest_by_decision_distance(model, point):
+    """(structure id, distance) of the lowest-id minimum of decision_distance."""
+    dists = [decision_distance(s, point, model.params.m) for s in model.snapshot()]
+    k = int(np.argmin(dists))
+    return model.ids()[k], dists[k]
+
+
+class TestAssignKernel:
+    """Assignment runs the engine's distance kernels over blocks of points,
+    keeping a running minimum over the structures in id order."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_decision_distance_up_to_three_dims(self, dim, monkeypatch):
+        jittered = []
+        factored = linalg.factored
+
+        def recording_factored(a, jitter=True):
+            got = factored(a, jitter)
+            jittered.append(got[0] is not a)
+            return got
+
+        monkeypatch.setattr(linalg, "factored", recording_factored)
+        rng = np.random.default_rng(40 + dim)
+        if dim == 2:  # collinear at scale 1e16: its merges need the jitter
+            scale = 1e16
+            xs = scale * rng.standard_normal(60)[:, None] * rng.standard_normal(dim)
+        else:
+            scale = 1.0
+            xs = rng.standard_normal((60, dim))
+        model = SpcModel(SpcParams(max_structures=5, gamma=0.1, beta=0.1))
+        for x in xs:
+            model.update(x)
+        assert any(jittered) == (dim == 2)
+        labels = get_clustering(model)
+        means = np.array([s.mu for s in model.snapshot()])
+        queries = np.vstack([xs, means, scale * rng.standard_normal((40, dim))])
+        cluster_ids, structure_ids, dists = assign_with_distances(model, labels, queries)
+        want = [nearest_by_decision_distance(model, q) for q in queries]
+        assert structure_ids.tolist() == [ident for ident, _ in want]
+        assert np.array_equal(as_bits(dists), as_bits([d for _, d in want]))
+        assert cluster_ids.tolist() == [labels.labels[ident] for ident, _ in want]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 40])
+    def test_overflowing_queries_are_infinitely_far(self, dim):
+        # means at +-1.5e308 and near the origin, the near ones merged so
+        # that every spread form meets the overflow
+        rng = np.random.default_rng(dim)
+        model = SpcModel(SpcParams(max_structures=6))
+        far = np.zeros(dim)
+        far[0] = 1.5e308
+        for x in [far, -far, *rng.standard_normal((20, dim))]:
+            model.update(x)
+        assert model.diagnostics.merges
+        labels = get_clustering(model)
+        queries = np.vstack([far, -far, np.full(dim, 1.5e308), np.full(dim, -1.5e308),
+                             np.full(dim, 1e200), np.zeros(dim)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, structure_ids, dists = assign_with_distances(model, labels, queries)
+            rows = list(model.sq_distance_rows(queries))
+        with np.errstate(over="ignore"):
+            overflows = [np.isinf(queries - s.mu).any(axis=1) for s in model.snapshot()]
+        for d_sq, over in zip(rows, overflows):
+            assert not np.isnan(d_sq).any()
+            assert np.all(d_sq[over] == np.inf)
+        assert np.all(np.isfinite(dists)) and np.all((0.0 <= dists) & (dists <= 1.0))
+        # each of +-far sits on its own structure; beyond every mean, every
+        # distance is 1.0 and the lowest id wins
+        assert structure_ids[:2].tolist() == model.ids()[:2]
+        assert dists[:2].tolist() == [0.0, 0.0]
+        assert dists[2:5].tolist() == [1.0] * 3
+        assert structure_ids[2:5].tolist() == [model.ids()[0]] * 3
+
+    def test_coinciding_structures_resolve_to_the_lower_id(self):
+        model = SpcModel(SpcParams(max_structures=8))
+        for x in ([1.0, 2.0], [5.0, 5.0], [1.0, 2.0], [5.0, 5.0], [1.0, 2.0]):
+            model.update(x)
+        labels = get_clustering(model)
+        queries = np.random.default_rng(5).uniform(-2.0, 8.0, (200, 2))
+        _, structure_ids, _ = assign_with_distances(model, labels, queries)
+        assert set(structure_ids.tolist()) == {0, 1}
+
+    def test_empty_query_set(self):
+        model, _ = build_two_blob_model(seed=29)
+        labels = get_clustering(model)
+        got = assign_with_distances(model, labels, np.empty((0, 2)))
+        assert [a.shape for a in got] == [(0,), (0,), (0,)]
+
+    @pytest.mark.parametrize("dim", [2, 40])
+    def test_block_edges_match_points_assigned_alone(self, dim):
+        rng = np.random.default_rng(dim)
+        model = SpcModel(SpcParams(max_structures=6))
+        for x in rng.standard_normal((40, dim)):
+            model.update(x)
+        labels = get_clustering(model)
+        block = clustering._BLOCK_VALUES // dim
+        queries = 2.0 * rng.standard_normal((block + 1, dim))
+        alone = [assign_with_distances(model, labels, q[None]) for q in queries]
+        alone = [np.concatenate(parts) for parts in zip(*alone)]
+        for n in (block - 1, block, block + 1):
+            got = assign_with_distances(model, labels, queries[:n])
+            for a, b in zip(got, alone):
+                assert np.array_equal(as_bits(a), as_bits(b[:n]))
+
+    def test_memory_stays_below_a_structures_by_points_matrix(self):
+        rng = np.random.default_rng(11)
+        model = SpcModel(SpcParams(max_structures=24))
+        for x in rng.uniform(-5.0, 5.0, (300, 2)):
+            model.update(x)
+        assert len(model) >= 20
+        labels = get_clustering(model)
+        axis = np.linspace(-6.0, 6.0, 200)
+        lattice = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            assign_with_distances(model, labels, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(model) * lattice.shape[0] * 8
