@@ -232,6 +232,8 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
     keeps within-cluster squared distances of order one, the scale at
     which identity-spread structures see meaningful typicality.
     """
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
     if n_points % n_clusters != 0:
         raise ValueError("n_points must be divisible by n_clusters")
     per = n_points // n_clusters

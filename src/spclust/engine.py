@@ -37,7 +37,10 @@ every structure for the weight update. Up to d = 3 the factors are
 stacked and one call of linalg.solve_norm_sq's closed form gives a
 whole row in both directions, bit for bit what structure_distance
 computes pair by pair. From d = 4 each spread's own norm_sq gives them.
-The offline DBSCAN reads this same matrix through distances().
+The offline DBSCAN reads this same matrix through distances(). The
+typicality transforms read an inf or NaN squared distance (an offset that
+overflows) as infinitely far: update and merge_structures ignore numpy's
+overflow warnings, and a merge whose spread overflows raises ValueError.
 """
 
 import math
@@ -95,7 +98,7 @@ class SpcParams:
     def __post_init__(self):
         if self.max_structures < 2:
             raise ValueError("max_structures must be >= 2")
-        if self.gamma < 0.0 or self.beta < 0.0:
+        if not (self.gamma >= 0.0 and self.beta >= 0.0):
             raise ValueError("decay rates must be nonnegative")
         if not self.m > 1.0:
             raise ValueError("fuzzifier m must be > 1")
@@ -103,7 +106,7 @@ class SpcParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.w_min < 1.0:
             raise ValueError("w_min must lie in (0, 1)")
-        if self.nlt_max <= 0.0:
+        if not self.nlt_max > 0.0:
             raise ValueError("nlt_max must be positive")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
@@ -206,6 +209,7 @@ class SpcModel:
         for k in range(self._n):
             yield self._point_dsq(points, k)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def update(self, x) -> None:
         """Consume one stream point."""
         x = np.array(x, dtype=float, ndmin=1)  # a copy: the singleton keeps it
@@ -234,6 +238,7 @@ class SpcModel:
         while self._n > self.params.max_structures:
             self._merge(*self._closest_pair())
 
+    @np.errstate(over="ignore", invalid="ignore")
     def merge_structures(self, ident_a: int, ident_b: int) -> None:
         """Merge two structures selected by identifier.
 
@@ -299,8 +304,6 @@ class SpcModel:
         self._dist[lo:n] = self._dist.take(keep, 0)
         self._dist[:n, lo:n] = self._dist[:n].take(keep, 1)
 
-    # offsets that overflow (means near the float limit) are infinitely far
-    @np.errstate(over="ignore", invalid="ignore")
     def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Structure distance of slot s to each earlier slot, and the
         typicality of slot s's mean in each of them.
@@ -314,7 +317,7 @@ class SpcModel:
             chols = self._chol[..., :s]
             chols[:, :, 1] = self._chol[:, :, 0, s, None]
             delta = self._mu[s] - self._mu[:s]
-            dsq = _closed_form_dsq(delta.T[:, None] * _SIGNS, chols)
+            dsq = linalg.solve_norm_sq(chols, delta.T[:, None] * _SIGNS)
         else:
             new_in_old = self._dsq_at(self._mu[s], np.arange(s))
             old_in_new = fusion.norm_sq(self._sigmas[s], self._mu[:s] - self._mu[s])
@@ -322,21 +325,23 @@ class SpcModel:
         u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
 
-    @np.errstate(over="ignore", invalid="ignore")
     def _dsq_at(self, point: np.ndarray, slots) -> np.ndarray:
         """Squared Mahalanobis distance of point under each listed slot's spread."""
         deltas = point - self._mu[slots]
         if self._chol is not None:
-            return _closed_form_dsq(deltas.T, self._chol[:, :, 0, slots])
+            return linalg.solve_norm_sq(self._chol[:, :, 0, slots], deltas.T)
         return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _point_dsq(self, points: np.ndarray, k: int) -> np.ndarray:
-        """Squared Mahalanobis distance of each point under slot k's spread;
-        up to d = 3 the points are the columns of a (d, n) array."""
+        """Squared Mahalanobis distance of each point under slot k's spread, inf
+        where the offset overflows; up to d = 3 the points come as a (d, n) array."""
         if self._chol is not None:
-            return _closed_form_dsq(points - self._mu[k, :, None], self._chol[:, :, 0, k])
-        return _far_if_nan(fusion.norm_sq(self._sigmas[k], points - self._mu[k]))
+            dsq = linalg.solve_norm_sq(self._chol[:, :, 0, k], points - self._mu[k, :, None])
+        else:
+            dsq = fusion.norm_sq(self._sigmas[k], points - self._mu[k])
+        dsq[np.isnan(dsq)] = math.inf
+        return dsq
 
     def _update_weights(self, typicality: np.ndarray) -> None:
         """Fold x's typicality into every weight; the newest slot is x itself."""
@@ -407,14 +412,3 @@ class SpcModel:
         weight = min(1.0, weight_acc / decay_norm(weight_age, beta))
         self._append(mean_acc, mu, sigma, weight_acc, age, weight_age, weight)
 
-
-def _closed_form_dsq(deltas: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """delta' (L L')^-1 delta for d <= 3 over the trailing axes of (d, ...) deltas
-    and (d, d, ...) factors."""
-    return _far_if_nan(linalg.solve_norm_sq(chols, deltas))
-
-
-def _far_if_nan(dsq: np.ndarray) -> np.ndarray:
-    """An overflowing delta (NaN via 0 * inf or inf - inf) is infinitely far."""
-    dsq[np.isnan(dsq)] = math.inf
-    return dsq

@@ -172,11 +172,13 @@ def orthonormal_basis(a: np.ndarray) -> np.ndarray:
     return q
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     """(x - mu)' sigma^-1 (x - mu) via Cholesky solve, never inversion.
 
     An exactly-zero deviation short-circuits to 0 so the center of a
-    degenerate (even all-zero) covariance is still handled.
+    degenerate (even all-zero) covariance is still handled. An offset
+    that overflows gives inf or NaN, without a warning.
     """
     x = np.asarray(x, dtype=float)
     mu = np.asarray(mu, dtype=float)

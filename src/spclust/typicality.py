@@ -14,7 +14,8 @@ from . import linalg
 
 # Exponentiated distances beyond this are treated as "completely atypical":
 # typicality 0 exactly, with the log-scale distance pinned at NLT_CEILING
-# (about -log of the smallest normal double) so orderings stay sane.
+# (about -log of the smallest normal double) so orderings stay sane. So is a
+# NaN squared distance (inf - inf or 0 * inf of an offset that overflows).
 _OVERFLOW = 1e300
 NLT_CEILING = 709.0
 
@@ -56,15 +57,15 @@ def _powered(d_sq, m: float) -> np.ndarray:
 
 
 def _typicality_of_dsq(d_sq, m: float) -> np.ndarray:
-    """Typicality elementwise over squared distances."""
+    """Typicality elementwise over squared distances (NaN: 0)."""
     z = _powered(d_sq, m)
-    return np.where(z > _OVERFLOW, 0.0, 1.0 / (1.0 + z))
+    return np.where(z <= _OVERFLOW, 1.0 / (1.0 + z), 0.0)
 
 
 def _nlt_of_dsq(d_sq, m: float) -> np.ndarray:
-    """Negative log typicality elementwise over squared distances."""
+    """Negative log typicality elementwise over squared distances (NaN: NLT_CEILING)."""
     z = _powered(d_sq, m)
-    return np.where(z > _OVERFLOW, NLT_CEILING, np.log1p(z))
+    return np.where(z <= _OVERFLOW, np.log1p(z), NLT_CEILING)
 
 
 def typicality_spherical(d_sq: float, eta: float, m: float) -> float:
@@ -75,9 +76,9 @@ def typicality_spherical(d_sq: float, eta: float, m: float) -> float:
     typicality crosses 1/2.
     """
     _check_fuzzifier(m)
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"scale eta must be positive, got {eta}")
-    if d_sq < 0.0:
+    if not d_sq >= 0.0:
         raise ValueError(f"squared distance must be nonnegative, got {d_sq}")
     return float(_typicality_of_dsq(d_sq / eta, m))
 

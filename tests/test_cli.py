@@ -48,6 +48,17 @@ class TestRun:
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ("--source", "two-circles", "--beta", "nan"),
+        ("--source", "two-circles", "--nlt-max", "nan"),
+        ("--source", "gaussian-highdim", "--n-clusters", "0"),
+    ])
+    def test_invalid_value_exits_2(self, tmp_path, capsys, flags):
+        rc = run_cli("run", *flags, "--output-dir", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_csv_source_round_trip(self, tmp_path):
         data = tmp_path / "data.csv"
         rows = ["0.0,0.0,a", "0.2,0.1,a", "0.1,0.3,a",

@@ -14,7 +14,14 @@ from spclust.clustering import (
 )
 from spclust.engine import SpcModel, SpcParams
 from spclust.errors import DimensionMismatch
-from spclust.typicality import Structure, decision_distance, structure_distance
+from spclust.typicality import (
+    NLT_CEILING,
+    Structure,
+    decision_distance,
+    nlt,
+    structure_distance,
+    typicality,
+)
 
 
 def brute_force_core_partition(d, epsilon, min_pts):
@@ -421,6 +428,26 @@ class TestAssignKernel:
         assert dists[:2].tolist() == [0.0, 0.0]
         assert dists[2:5].tolist() == [1.0] * 3
         assert structure_ids[2:5].tolist() == [model.ids()[0]] * 3
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_public_functions_agree_on_overflowing_offsets(self, dim):
+        # the offset 3e308 overflows; the public functions read it as
+        # assignment does, infinitely far, and nothing warns
+        e0 = np.eye(dim)[0]
+        m = 1.5
+        far = Structure(mu=-1.5e308 * e0, sigma=np.eye(dim), weight=1.0, age=1)
+        near = Structure(mu=np.zeros(dim), sigma=np.eye(dim), weight=1.0, age=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = 1.5e308 * e0
+            got = (decision_distance(far, x, m), typicality(x, far.mu, far.sigma, m),
+                   nlt(x, far.mu, far.sigma, m))
+            model = SpcModel(SpcParams(max_structures=3, m=m))
+            model.update(far.mu)
+            _, _, dists = assign_with_distances(model, get_clustering(model), x[None])
+            assert decision_distance(near, 1e200 * e0, m) == 1.0
+        assert got == (1.0, 0.0, NLT_CEILING)
+        assert dists.tolist() == [got[0]]
 
     def test_coinciding_structures_resolve_to_the_lower_id(self):
         model = SpcModel(SpcParams(max_structures=8))

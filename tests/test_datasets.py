@@ -179,6 +179,10 @@ class TestGaussianHighDim:
         assert counts.tolist() == [16, 16, 16, 16]
         assert pts[0].x.shape == (16,)
 
+    def test_needs_a_cluster(self):
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            gen_gaussian_highdim(n_clusters=0, dim=8, n_points=64)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             gen_gaussian_highdim(n_clusters=3, dim=8, n_points=64)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -16,6 +17,8 @@ from spclust.engine import SpcModel, SpcParams, decay_norm
 from spclust.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, UnknownIdentifier
 from spclust.metrics import purity
 from spclust.typicality import decision_distance
+
+import decision_digests
 
 
 def total_age(model):
@@ -37,6 +40,10 @@ class TestParams:
         {"w_min": 0.0},
         {"nlt_max": 0.0},
         {"min_pts": 0},
+        {"beta": -0.1},
+        {"gamma": math.nan},
+        {"beta": math.nan},
+        {"nlt_max": math.nan},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -374,6 +381,54 @@ class TestFactorInvariant:
                 d = model.distances()
                 assert not np.isnan(d).any()
                 assert np.array_equal(d, 1.0 - np.eye(len(model)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16, 31, 32, 40])
+    def test_overflowing_offsets_never_merge_first(self, dim):
+        # from the fifth point the means at -8e307 and 1.7e308 are 2.5e308
+        # apart; their offset overflows in every kernel (a NaN from
+        # dtrtrs from d = 4), and the pair must be infinitely far rather
+        # than the closest
+        e0 = np.eye(dim)[0]
+        model = SpcModel(SpcParams(max_structures=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (-8e307 * e0, -8e307 * e0, 0.0 * e0, 0.5 * e0, 1.7e308 * e0):
+                model.update(x)
+                assert not np.isnan(model.distances()).any()
+        assert model.ids() == [4, 5, 6]
+        assert total_age(model) + model.retired_age == model.clock
+
+    @pytest.mark.parametrize("dim", [2, 4, 40])
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_hostile_merge_raises_without_warnings(self, dim, scale):
+        # a merge whose padded spread overflows is refused with ValueError;
+        # the overflow on the way warns nothing
+        model = SpcModel(SpcParams(max_structures=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                for x in scale * np.random.default_rng(0).standard_normal((20, dim)):
+                    model.update(x)
+        assert total_age(model) + model.retired_age == model.clock
+
+
+class TestDecisionDigests:
+    """Ids, diagnostics, retired_age and labels on the streams of
+    decision_digests.py equal the committed digests (a characterization
+    test: see that module for the matrix and how to regenerate it)."""
+
+    committed = json.loads(decision_digests.PATH.read_text())
+
+    def test_covers_the_matrix(self):
+        keys = [decision_digests.stream_key(*case) for case in decision_digests.matrix()]
+        assert sorted(self.committed) == sorted(keys)
+        assert len(keys) == 72
+
+    @pytest.mark.parametrize("case", decision_digests.matrix(),
+                             ids=lambda case: decision_digests.stream_key(*case))
+    def test_decisions_unchanged(self, case):
+        key = decision_digests.stream_key(*case)
+        assert decision_digests.digest(*case) == self.committed[key]
 
 
 class TestStoredFactorDescribesSpread:

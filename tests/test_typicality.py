@@ -41,6 +41,12 @@ class TestSpherical:
             typicality_spherical(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             typicality_spherical(-1.0, 1.0, 1.5)
+        # a NaN would otherwise reach the transforms, which read it as
+        # infinitely far
+        with pytest.raises(ValueError):
+            typicality_spherical(math.nan, 1.0, 1.5)
+        with pytest.raises(ValueError):
+            typicality_spherical(1.0, math.nan, 1.5)
 
 
 class TestTypicality:
@@ -196,6 +202,7 @@ class TestOneTransform:
                     assert transform(d_sq[k:k + 1], m)[0] == value
 
     def test_zero_and_overflow_map_to_the_ends(self):
-        d_sq = np.array([0.0, 1e300, np.inf])
-        assert _typicality_of_dsq(d_sq, 1.001).tolist() == [1.0, 0.0, 0.0]
-        assert _nlt_of_dsq(d_sq, 1.001).tolist() == [0.0, NLT_CEILING, NLT_CEILING]
+        # NaN is what an offset that overflows gives (inf - inf, 0 * inf)
+        d_sq = np.array([0.0, 1e300, np.inf, np.nan])
+        assert _typicality_of_dsq(d_sq, 1.001).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert _nlt_of_dsq(d_sq, 1.001).tolist() == [0.0] + [NLT_CEILING] * 3
