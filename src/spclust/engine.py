@@ -28,8 +28,9 @@ matrix, and per slot its mean (read-only), mean accumulator and spread
 compact in one pass. numpy's first-minimum rule is the tie-break
 everywhere: the closest pair is the least (distance, smaller id, larger
 id); a pruned structure goes to the lowest id among equally typical
-targets; prune candidates run in (weight, id) order, each against the
-store the previous one left.
+targets; prune candidates run in (weight, id) order, each as one row
+against the whole store the previous one left, the candidates still
+pending (itself included) masked as infinitely far.
 
 Each slot's distances to the earlier slots are computed once, when it
 is filled; a singleton's row also gives the new point's typicality in
@@ -100,8 +101,8 @@ class SpcParams:
             raise ValueError("max_structures must be >= 2")
         if not (self.gamma >= 0.0 and self.beta >= 0.0):
             raise ValueError("decay rates must be nonnegative")
-        if not self.m > 1.0:
-            raise ValueError("fuzzifier m must be > 1")
+        if not 1.0 < self.m < math.inf:
+            raise ValueError("fuzzifier m must be finite and > 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.w_min < 1.0:
@@ -319,18 +320,20 @@ class SpcModel:
             delta = self._mu[s] - self._mu[:s]
             dsq = linalg.solve_norm_sq(chols, delta.T[:, None] * _SIGNS)
         else:
-            new_in_old = self._dsq_at(self._mu[s], np.arange(s))
+            new_in_old = self._dsq_at(self._mu[s], s)
             old_in_new = fusion.norm_sq(self._sigmas[s], self._mu[:s] - self._mu[s])
             dsq = np.stack((new_in_old, old_in_new))
         u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
 
-    def _dsq_at(self, point: np.ndarray, slots) -> np.ndarray:
-        """Squared Mahalanobis distance of point under each listed slot's spread."""
-        deltas = point - self._mu[slots]
+    def _dsq_at(self, point: np.ndarray, n: int) -> np.ndarray:
+        """Squared Mahalanobis distance of point under each of the first n
+        slots' spreads, read through views of that slot prefix (no gathered
+        copies); a slot's value has the same bits whatever n is."""
+        deltas = point - self._mu[:n]
         if self._chol is not None:
-            return linalg.solve_norm_sq(self._chol[:, :, 0, slots], deltas.T)
-        return fusion.norm_sq_rows([self._sigmas[k] for k in slots], deltas)
+            return linalg.solve_norm_sq(self._chol[:, :, 0, :n], deltas.T)
+        return fusion.norm_sq_rows(self._sigmas[:n], deltas)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _point_dsq(self, points: np.ndarray, k: int) -> np.ndarray:
@@ -357,24 +360,21 @@ class SpcModel:
         self._weight[:n] = np.minimum(1.0, self._weight_acc[:n] / norms)
 
     def _prune(self) -> None:
-        m = self.params.m
         weight = self._weight[:self._n]
         low = np.flatnonzero(weight < self.params.w_min)
         if not low.size:
             return
         # slots are in id order, so a stable sort by weight orders by (weight, id)
-        candidates = self._ids[low[np.argsort(weight[low], kind="stable")]].tolist()
-        for ident in candidates:
-            cand = self._slot(ident)
-            targets = np.flatnonzero(~np.isin(self._ids[:self._n], candidates))
-            best = None
-            if targets.size:
-                nlt = _nlt_of_dsq(self._dsq_at(self._mu[cand], targets), m)
-                k = int(np.argmin(nlt))
-                if nlt[k] < self.params.nlt_max:
-                    best = int(targets[k])
+        candidates = self._ids[low[np.argsort(weight[low], kind="stable")]]
+        for i in range(candidates.size):
+            # this candidate and the later ones: never a target
+            pending = np.searchsorted(self._ids[:self._n], candidates[i:])
+            cand = int(pending[0])
+            nlt = _nlt_of_dsq(self._dsq_at(self._mu[cand], self._n), self.params.m)
+            nlt[pending] = math.inf
+            best = int(np.argmin(nlt))  # the first minimum: the lowest id
             self.diagnostics.prunes += 1
-            if best is not None:
+            if nlt[best] < self.params.nlt_max:
                 self._merge(cand, best)
             else:
                 self.retired_age += int(self._age[cand])

@@ -40,8 +40,8 @@ class Structure:
 
 
 def _check_fuzzifier(m: float) -> None:
-    if not m > 1.0:
-        raise ValueError(f"fuzzifier must be > 1, got {m}")
+    if not 1.0 < m < np.inf:
+        raise ValueError(f"fuzzifier must be finite and > 1, got {m}")
 
 
 def _powered(d_sq, m: float) -> np.ndarray:

@@ -52,6 +52,7 @@ class TestRun:
         ("--source", "two-circles", "--beta", "nan"),
         ("--source", "two-circles", "--nlt-max", "nan"),
         ("--source", "gaussian-highdim", "--n-clusters", "0"),
+        ("--source", "two-circles", "--m", "inf"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, flags):
         rc = run_cli("run", *flags, "--output-dir", tmp_path / "out")

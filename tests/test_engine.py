@@ -16,7 +16,7 @@ from spclust.datasets import gen_gaussian_highdim
 from spclust.engine import SpcModel, SpcParams, decay_norm
 from spclust.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, UnknownIdentifier
 from spclust.metrics import purity
-from spclust.typicality import decision_distance
+from spclust.typicality import decision_distance, nlt
 
 import decision_digests
 
@@ -44,6 +44,8 @@ class TestParams:
         {"gamma": math.nan},
         {"beta": math.nan},
         {"nlt_max": math.nan},
+        {"m": math.inf},
+        {"m": math.nan},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -261,6 +263,29 @@ class TestPruning:
         # the far-left structures are gone
         assert all(s.mu[0] > 400.0 for s in model.snapshot())
 
+    def test_pending_candidates_are_never_targets(self):
+        # three structures near the origin fall under w_min in one update;
+        # the first candidate, id 2 (the farthest from the new point), is
+        # most typical in id 0, a later candidate, so it goes to id 3, the
+        # lower of the two equally typical structures at (10, 0)
+        model = SpcModel(SpcParams(max_structures=4, beta=2.0, w_min=0.3, nlt_max=20.0))
+        for x in ([0.0, 0.0], [0.5, 0.0], [0.0, 0.6], [10.0, 0.0]):
+            model.update(x)
+        s = model.snapshot()
+        assert min((nlt(s[2].mu, t.mu, t.sigma, 1.5), k) for k, t in enumerate(s) if k != 2)[1] == 0
+        merges = []
+        merge = model._merge
+
+        def record(a, b):
+            merges.append((model.ids()[a], model.ids()[b]))
+            merge(a, b)
+
+        model._merge = record
+        model.update([10.0, 0.0])
+        assert merges == [(2, 3), (0, 5), (1, 6)]
+        assert model.ids() == [4, 7]
+        assert (model.diagnostics.prunes, model.diagnostics.deletions) == (3, 0)
+
     def test_no_low_weight_survivors_except_new_structures(self):
         rng = np.random.default_rng(9)
         params = SpcParams(max_structures=5, beta=1.0)
@@ -420,15 +445,13 @@ class TestDecisionDigests:
     committed = json.loads(decision_digests.PATH.read_text())
 
     def test_covers_the_matrix(self):
-        keys = [decision_digests.stream_key(*case) for case in decision_digests.matrix()]
-        assert sorted(self.committed) == sorted(keys)
-        assert len(keys) == 72
+        assert sorted(self.committed) == sorted(decision_digests.cases())
+        assert len(decision_digests.matrix()) == 72
+        assert len(self.committed) == 72 + 3 * 2
 
-    @pytest.mark.parametrize("case", decision_digests.matrix(),
-                             ids=lambda case: decision_digests.stream_key(*case))
-    def test_decisions_unchanged(self, case):
-        key = decision_digests.stream_key(*case)
-        assert decision_digests.digest(*case) == self.committed[key]
+    @pytest.mark.parametrize("key", list(decision_digests.cases()), ids=str)
+    def test_decisions_unchanged(self, key):
+        assert decision_digests.digest(key) == self.committed[key]
 
 
 class TestStoredFactorDescribesSpread:

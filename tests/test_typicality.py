@@ -47,6 +47,18 @@ class TestSpherical:
             typicality_spherical(math.nan, 1.0, 1.5)
         with pytest.raises(ValueError):
             typicality_spherical(1.0, math.nan, 1.5)
+        with pytest.raises(ValueError):
+            typicality_spherical(1.0, 1.0, math.inf)
+
+
+class TestFuzzifier:
+    # an infinite m would give every finite nonzero d^2 typicality 1/2,
+    # and d^2 = 0 the NaN of -inf / inf
+    @pytest.mark.parametrize("fn", [typicality, nlt])
+    @pytest.mark.parametrize("m", [1.0, math.inf, math.nan])
+    def test_rejects_m_outside_one_to_inf(self, fn, m):
+        with pytest.raises(ValueError):
+            fn(np.zeros(2), np.zeros(2), np.eye(2), m)
 
 
 class TestTypicality:
