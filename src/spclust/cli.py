@@ -14,6 +14,7 @@ import argparse
 import inspect
 import itertools
 import json
+import operator
 import sys
 import time
 from dataclasses import asdict, fields
@@ -223,13 +224,14 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
     earlier one (every unit singleton's identity) reuses its string.
     """
     dim = model.dim
-    header = (["id", "age", "weight"]
-              + [f"mu_{i}" for i in range(dim)]
-              + [f"cov_{i}_{j}" for i in range(dim) for j in range(dim)])
+    columns = [str(j) for j in range(dim)]
+    header = ["id", "age", "weight", *(f"mu_{j}" for j in columns),
+              *(f"cov_{i}_" + f",cov_{i}_".join(columns) for i in columns)]
     rows, cols = np.triu_indices(dim)
     upper_index = np.empty((dim, dim), dtype=np.intp)
     upper_index[rows, cols] = upper_index[cols, rows] = np.arange(rows.size)
-    mirror = upper_index.ravel().tolist()
+    # at d = 1 itemgetter would return the bare string, not a 1-tuple
+    mirror = operator.itemgetter(*upper_index.ravel().tolist()) if dim > 1 else list
     spreads = {}
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
@@ -237,7 +239,7 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
             key = s.sigma.tobytes()
             if key not in spreads:
                 upper = list(map(repr, s.sigma[rows, cols].tolist()))
-                spreads[key] = "," + ",".join(map(upper.__getitem__, mirror)) + "\n"
+                spreads[key] = "," + ",".join(mirror(upper)) + "\n"
             f.write(",".join([str(ident), str(s.age), repr(float(s.weight)),
                               *map(repr, s.mu.tolist())]))
             f.write(spreads[key])

@@ -43,28 +43,29 @@ class ClusterLabels:
 def labels_from_distances(d: np.ndarray, epsilon: float, min_pts: int) -> list[int]:
     """DBSCAN given a precomputed symmetric distance matrix."""
     n = d.shape[0]
-    neighbors = [np.flatnonzero(d[i] <= epsilon) for i in range(n)]
+    # every neighbour list, in ascending order, as one slice of one flat list
+    # of Python ints; NaN is never within epsilon
+    close = d <= epsilon
+    flat = np.nonzero(close)[1].tolist()
+    ends = np.count_nonzero(close, axis=1).cumsum().tolist()
+    neighbors = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
     is_core = [len(nb) >= min_pts for nb in neighbors]
 
     labels = [-1] * n
-    visited = [False] * n
     cluster = 0
     for i in range(n):
-        if visited[i]:
+        # a labeled core has been expanded; an item that is not core stays
+        # noise unless a later cluster claims it as border
+        if labels[i] != -1 or not is_core[i]:
             continue
-        visited[i] = True
-        if not is_core[i]:
-            continue  # provisional noise; a later cluster may claim it as border
         labels[i] = cluster
         seeds = deque(neighbors[i])
         while seeds:
             j = seeds.popleft()
-            if not visited[j]:
-                visited[j] = True
-                if is_core[j]:
-                    seeds.extend(neighbors[j])
             if labels[j] == -1:
                 labels[j] = cluster
+                if is_core[j]:
+                    seeds.extend(neighbors[j])
         cluster += 1
 
     for i in range(n):

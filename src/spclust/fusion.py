@@ -119,7 +119,9 @@ class LowRankSpread(NamedTuple):
     lam: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The d x d spread, bitwise symmetric."""
+        """The d x d spread, bitwise symmetric; a unit singleton's is np.eye."""
+        if not self.lam.size:
+            return np.eye(self.basis.shape[0])
         return _identity_plus(self.basis, self.lam - 1.0)
 
     def factor(self) -> np.ndarray:

@@ -369,8 +369,15 @@ class TestWritersMatchReference:
         # three merged structures
         ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "33",
          "--n-points", "60", "--seed", "2", "--outputs", "snapshot,assignments"),
+        # one column per spread: the mirror of a 1 x 1 upper triangle
+        ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "1",
+         "--n-points", "81", "--seed", "4", "--outputs", "snapshot,assignments"),
+        # low-rank spreads: four unit singletons and four distinct merged
+        # spreads of rank 17-19
+        ("--source", "gaussian-highdim", "--n", "8", "--n-clusters", "4", "--dim", "64",
+         "--n-points", "80", "--seed", "2", "--outputs", "snapshot,assignments"),
     ], ids=["two-circles-default-lattice", "two-circles-grid-bounds", "highdim-4",
-            "highdim-33"])
+            "highdim-33", "highdim-1", "highdim-64"])
     def test_outputs_byte_identical(self, tmp_path, monkeypatch, args):
         calls = {}
         for name, (writer, _) in _REFERENCES.items():

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -46,6 +47,40 @@ def brute_force_core_partition(d, epsilon, min_pts):
     for i in cores:
         groups.setdefault(find(i), set()).add(i)
     return core_set, {frozenset(g) for g in groups.values()}
+
+
+def reference_labels(d, epsilon, min_pts):
+    """Reference DBSCAN in its plain form: a flatnonzero per row and a
+    visited list. labels_from_distances must give these labels exactly,
+    border claims and noise numbering included."""
+    n = d.shape[0]
+    neighbors = [np.flatnonzero(d[i] <= epsilon) for i in range(n)]
+    is_core = [len(nb) >= min_pts for nb in neighbors]
+    labels = [-1] * n
+    visited = [False] * n
+    cluster = 0
+    for i in range(n):
+        if visited[i]:
+            continue
+        visited[i] = True
+        if not is_core[i]:
+            continue
+        labels[i] = cluster
+        seeds = deque(neighbors[i])
+        while seeds:
+            j = seeds.popleft()
+            if not visited[j]:
+                visited[j] = True
+                if is_core[j]:
+                    seeds.extend(neighbors[j])
+            if labels[j] == -1:
+                labels[j] = cluster
+        cluster += 1
+    for i in range(n):
+        if labels[i] == -1:
+            labels[i] = cluster
+            cluster += 1
+    return labels
 
 
 def labels_to_core_partition(labels, core_set):
@@ -133,6 +168,24 @@ class TestDbscan:
         labels = labels_from_distances(d, epsilon=0.6, min_pts=4)
         assert labels[0] != labels[4]
         assert labels[8] == labels[0]
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 3, 4, 5])
+    def test_labels_match_reference_exactly(self, min_pts):
+        # whole label lists, so border claims and noise numbering count too;
+        # entries equal to epsilon are within it, NaN entries are not
+        rng = np.random.default_rng(29 + min_pts)
+        for n in range(61):
+            for _ in range(4):
+                raw = rng.uniform(0.0, 1.0, size=(n, n))
+                d = 0.5 * (raw + raw.T)
+                np.fill_diagonal(d, 0.0)
+                epsilon = float(rng.uniform(0.05, 0.6))
+                for value, share in ((epsilon, 0.15), (np.nan, 0.1)):
+                    mask = rng.uniform(size=(n, n)) < share * rng.uniform()
+                    d[mask | mask.T] = value
+                labels = labels_from_distances(d, epsilon, min_pts)
+                assert labels == reference_labels(d, epsilon, min_pts), (n, epsilon)
+                assert all(type(label) is int for label in labels)
 
     def test_dense_labels_from_zero(self):
         rng = np.random.default_rng(25)

@@ -235,6 +235,17 @@ def low_rank_unit(dim):
     return LowRankSpread(np.empty((dim, 0)), np.empty(0))
 
 
+class TestLowRankSpread:
+    @pytest.mark.parametrize("dim", [32, 33, 64, 512])
+    def test_unit_singleton_dense_is_a_new_identity(self, dim):
+        spread = fusion.unit(dim)
+        assert spread.lam.size == 0
+        dense = spread.dense()
+        # the bytes the general path gives at k = 0, signs of zero included
+        assert dense.tobytes() == fusion._identity_plus(spread.basis, spread.lam - 1.0).tobytes()
+        assert dense.flags.writeable and dense is not spread.dense()
+
+
 class TestUnionAbsorbingUnit:
     def test_matches_dense_union(self):
         rng = np.random.default_rng(15)
