@@ -20,10 +20,10 @@ union fails (fusion.merge, which also decides the form a spread is
 stored in). So every spread dominates the identity and has a Cholesky
 factor; a merge that raises does so before it changes anything.
 
-The store keeps N + 1 slots: stacked means, weight accumulators,
-weights, ages, weight ages and ids as arrays, a dense pairwise distance
-matrix, and per slot its mean (read-only), mean accumulator and spread
-(a fusion.Spread). Slots stay in ascending-id order: new structures
+The store keeps N + 1 slots: stacked means, mean and weight accumulators,
+ages, weight ages and ids as arrays (weights are derived when read), a
+dense pairwise distance matrix, and per slot its spread (a
+fusion.Spread). Slots stay in ascending-id order: new structures
 (singletons and merge results) take the next id and append, removals
 compact in one pass. numpy's first-minimum rule is the tie-break
 everywhere: the closest pair is the least (distance, smaller id, larger
@@ -67,7 +67,7 @@ def decay_norm(steps: int, rate: float) -> float:
 
 def decay_norms(steps: list[int], rate: float) -> list[float]:
     """decay_norm of each window length in steps, with expm1(-rate) taken once."""
-    if min(steps) < 1:
+    if min(steps, default=1) < 1:
         raise ValueError(f"window length must be >= 1, got {min(steps)}")
     if rate == 0.0:
         return [float(k) for k in steps]
@@ -144,19 +144,16 @@ class SpcModel:
         cap = params.max_structures + 1
         self._ids = np.zeros(cap, dtype=np.int64)
         self._weight_acc = np.zeros(cap)
-        self._weight = np.zeros(cap)
         self._age = np.zeros(cap, dtype=np.int64)
         self._weight_age = np.zeros(cap, dtype=np.int64)
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
-        # per slot: mean (read-only), mean accumulator and spread
-        self._mus: list[np.ndarray] = []
-        self._mean_accs: list[np.ndarray] = []
-        self._sigmas: list[fusion.Spread] = []
-        # set with the first point: stacked means, and for d <= 3 the factors
-        # in the closed-form kernel's layout, (d, d, 2, N + 1): [..., 0, k] is
-        # slot k's factor, [..., 1, :s] slot s's while its row is made
-        self._mu: np.ndarray | None = None
+        self._sigmas: list[fusion.Spread] = []  # per slot
+        # stacked means and mean accumulators, (N + 1, d) from the first point
+        self._mu = self._mean_acc = np.zeros((cap, 0))
+        # set with the first point for d <= 3: the factors in the closed-form
+        # kernel's layout, (d, d, 2, N + 1): [..., 0, k] is slot k's factor,
+        # [..., 1, :s] slot s's while its row is made
         self._chol: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -171,19 +168,21 @@ class SpcModel:
         Every mean and spread is copied; a low-rank spread is built here.
         """
         return [
-            Structure(mu=self._mus[k].copy(), sigma=self._sigmas[k].dense(),
-                      weight=float(self._weight[k]), age=int(self._age[k]))
-            for k in range(self._n)
+            Structure(mu=self._mu[k].copy(), sigma=self._sigmas[k].dense(),
+                      weight=weight, age=int(self._age[k]))
+            for k, weight in enumerate(self._weights().tolist())
         ]
 
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
-        Of a dense spread these are the engine's own read-only arrays, valid
-        after later updates, which replace arrays rather than mutate them;
-        a low-rank spread is built and factored by the call.
+        A read-only copy of each mean. Of a dense spread the factor is the
+        engine's own read-only array, valid after later updates, which replace
+        spreads; a low-rank spread is built and factored by the call.
         """
-        return [(mu, spread.factor()) for mu, spread in zip(self._mus, self._sigmas)]
+        mus = self._mu[:self._n].copy()
+        mus.setflags(write=False)
+        return [(mu, spread.factor()) for mu, spread in zip(mus, self._sigmas)]
 
     def distances(self) -> np.ndarray:
         """Symmetric copy of the distance matrix in id order, zero diagonal.
@@ -213,7 +212,7 @@ class SpcModel:
     @np.errstate(over="ignore", invalid="ignore")
     def update(self, x) -> None:
         """Consume one stream point."""
-        x = np.array(x, dtype=float, ndmin=1)  # a copy: the singleton keeps it
+        x = np.array(x, dtype=float, ndmin=1)
         if x.ndim != 1 or not x.size:
             raise DimensionMismatch(f"expected a nonempty vector, got shape {x.shape}")
         if not np.isfinite(x).all():
@@ -222,6 +221,7 @@ class SpcModel:
             self.dim = x.shape[0]
             cap = self.params.max_structures + 1
             self._mu = np.zeros((cap, self.dim))
+            self._mean_acc = np.zeros((cap, self.dim))
             if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
                 self._chol = np.zeros((self.dim, self.dim, 2, cap))
         elif x.shape[0] != self.dim:
@@ -230,7 +230,7 @@ class SpcModel:
         self.clock += 1
         # the singleton's distance row already holds x's typicality in every
         # earlier structure
-        typicality = self._append(x, x, fusion.unit(self.dim), 1.0, 1, 1, 1.0)
+        typicality = self._append(x, x, fusion.unit(self.dim), 1.0, 1, 1)
         if self._n <= self.params.max_structures:
             return
 
@@ -258,24 +258,20 @@ class SpcModel:
             raise UnknownIdentifier(f"no structure with identifier {ident}")
         return int(hits[0])
 
-    def _append(self, mean_acc, mu, sigma, weight_acc, age, weight_age,
-                weight) -> np.ndarray:
-        """Fill the next slot and its column of distances to every earlier slot.
-
-        Returns the typicality of the new mean in each earlier structure.
+    def _append(self, mean_acc, mu, sigma, weight_acc, age, weight_age) -> np.ndarray:
+        """Fill the next slot (no weight: _weights derives it) and its column
+        of distances to every earlier slot; returns the typicality of the new
+        mean in each earlier structure.
         """
         s = self._n
-        mu.setflags(write=False)
-        self._mus.append(mu)
-        self._mean_accs.append(mean_acc)
         self._sigmas.append(sigma)
         self._mu[s] = mu
+        self._mean_acc[s] = mean_acc
         if self._chol is not None:
             self._chol[:, :, 0, s] = sigma.factor()
         self._ids[s] = self._next_id
         self._next_id += 1
         self._weight_acc[s] = weight_acc
-        self._weight[s] = weight
         self._age[s] = age
         self._weight_age[s] = weight_age
         self._n = s + 1
@@ -290,14 +286,13 @@ class SpcModel:
         keep = list(range(self._n))
         for k in sorted(slots, reverse=True):
             del keep[k]
-            for per_slot in (self._mus, self._mean_accs, self._sigmas):
-                del per_slot[k]
+            del self._sigmas[k]
         # slots below the first dropped one stay where they are
         n, lo = len(keep), min(slots)
         self._n = n
         keep = np.array(keep[lo:], dtype=np.intp)
-        for arr in (self._ids, self._weight_acc, self._weight, self._age,
-                    self._weight_age, self._mu):
+        for arr in (self._ids, self._weight_acc, self._age, self._weight_age,
+                    self._mu, self._mean_acc):
             arr[lo:n] = arr[keep]
         if self._chol is not None:
             self._chol[..., lo:n] = self._chol.take(keep, -1)
@@ -349,18 +344,20 @@ class SpcModel:
     def _update_weights(self, typicality: np.ndarray) -> None:
         """Fold x's typicality into every weight; the newest slot is x itself."""
         n = self._n
-        beta = self.params.beta
-        self._weight_acc[:n] *= math.exp(-beta)
+        self._weight_acc[:n] *= math.exp(-self.params.beta)
         self._weight_acc[:n - 1] += typicality
         self._weight_acc[n - 1] += 1.0
         self._weight_age[:n] += 1
-        norms = decay_norms(self._weight_age[:n].tolist(), beta)
-        # a damped average of typicalities is at most one; the recursive
-        # sum and the closed-form normalizer can round one ulp apart
-        self._weight[:n] = np.minimum(1.0, self._weight_acc[:n] / norms)
+
+    def _weights(self) -> np.ndarray:
+        """Each slot's weight accumulator over its window's normalizer, at most
+        one: a damped average of typicalities is at most one, and the recursive
+        sum and the closed-form normalizer can round one ulp apart."""
+        norms = decay_norms(self._weight_age[:self._n].tolist(), self.params.beta)
+        return np.minimum(1.0, self._weight_acc[:self._n] / norms)
 
     def _prune(self) -> None:
-        weight = self._weight[:self._n]
+        weight = self._weights()
         low = np.flatnonzero(weight < self.params.w_min)
         if not low.size:
             return
@@ -394,7 +391,7 @@ class SpcModel:
         wage_old, wage_new = int(self._weight_age[older]), int(self._weight_age[younger])
 
         shift = math.exp(-gamma * age_new)
-        mean_acc = shift * self._mean_accs[older] + self._mean_accs[younger]
+        mean_acc = shift * self._mean_acc[older] + self._mean_acc[younger]
         weight_acc = (math.exp(-beta * wage_new) * float(self._weight_acc[older])
                       + float(self._weight_acc[younger]))
         age = age_old + age_new
@@ -402,13 +399,11 @@ class SpcModel:
         mu = mean_acc / g
         # raises before any state changes
         sigma, pooled = fusion.merge(self._sigmas[older], self._sigmas[younger],
-                                     self._mus[older], self._mus[younger], mu,
+                                     self._mu[older], self._mu[younger], mu,
                                      shift, norm_old, norm_new, g)
         self.diagnostics.cu_fallbacks += pooled
         self.diagnostics.merges += 1
 
         self._drop(a, b)
-        weight_age = wage_old + wage_new
-        weight = min(1.0, weight_acc / decay_norm(weight_age, beta))
-        self._append(mean_acc, mu, sigma, weight_acc, age, weight_age, weight)
+        self._append(mean_acc, mu, sigma, weight_acc, age, wage_old + wage_new)
 

@@ -315,15 +315,20 @@ class TestDistances:
 
 class TestFactors:
     def test_cached_read_only_in_id_order(self):
-        model, _ = build_two_blob_model(seed=31)
-        factors = model.factors()
+        model, pts = build_two_blob_model(seed=31)
+        factors, snapshot = model.factors(), model.snapshot()
         assert len(factors) == len(model)
-        for (mu, chol), again, s in zip(factors, model.factors(), model.snapshot()):
-            assert again[0] is mu and again[1] is chol  # cached, not copied
+        for (mu, chol), again, s in zip(factors, model.factors(), snapshot):
+            assert again[1] is chol  # the factor is cached, not copied
             assert not mu.flags.writeable and not chol.flags.writeable
             assert np.array_equal(mu, s.mu)
             assert np.array_equal(chol, np.tril(chol))
             assert np.allclose(chol @ chol.T, s.sigma, rtol=1e-12, atol=1e-12)
+        # valid after later updates, which merge and move the store's slots
+        for x in pts[:20]:
+            model.update(x + 5.0)
+        for (mu, _), s in zip(factors, snapshot):
+            assert np.array_equal(mu, s.mu)
 
     def test_unit_singleton_factor_is_identity(self):
         model = SpcModel(SpcParams(max_structures=3))
@@ -511,11 +516,18 @@ class TestAssignKernel:
         _, structure_ids, _ = assign_with_distances(model, labels, queries)
         assert set(structure_ids.tolist()) == {0, 1}
 
-    def test_empty_query_set(self):
-        model, _ = build_two_blob_model(seed=29)
+    @pytest.mark.parametrize("dim", [1, 2, 8, 40])
+    def test_empty_query_set(self, dim):
+        rng = np.random.default_rng(dim)
+        model = SpcModel(SpcParams(max_structures=6))
+        for x in rng.standard_normal((40, dim)):
+            model.update(x)
+        assert any(not np.array_equal(s.sigma, np.eye(dim)) for s in model.snapshot())
         labels = get_clustering(model)
-        got = assign_with_distances(model, labels, np.empty((0, 2)))
+        got = assign_with_distances(model, labels, np.empty((0, dim)))
         assert [a.shape for a in got] == [(0,), (0,), (0,)]
+        rows = list(model.sq_distance_rows(np.empty((0, dim))))
+        assert len(rows) == len(model) and all(row.shape == (0,) for row in rows)
 
     @pytest.mark.parametrize("dim", [2, 40])
     def test_block_edges_match_points_assigned_alone(self, dim):

@@ -341,7 +341,8 @@ class TestMergeStructures:
         assert ages[older] > ages[younger]
         acc_old, acc_new = float(model._weight_acc[older]), float(model._weight_acc[younger])
         wage_old, wage_new = int(model._weight_age[older]), int(model._weight_age[younger])
-        assert model._weight[older] < 1.0 and model._weight[younger] < 1.0
+        weights = [s.weight for s in model.snapshot()]
+        assert weights[older] < 1.0 and weights[younger] < 1.0
         model.merge_structures(model.ids()[younger], model.ids()[older])
         expected = min(1.0, (math.exp(-beta * wage_new) * acc_old + acc_new)
                        / decay_norm(wage_old + wage_new, beta))
@@ -724,7 +725,7 @@ class TestInputValidation:
 
     def test_empty_snapshot(self):
         model = SpcModel(SpcParams(max_structures=3))
-        assert model.snapshot() == []
+        assert model.snapshot() == [] and model.factors() == []
 
 
 class TestTwoBlobsEndToEnd:

@@ -71,7 +71,7 @@ class TestNewSingleton:
     def test_normalizers_are_unity_at_creation(self):
         model = SpcModel(SpcParams(gamma=0.9, beta=0.3))
         model.update(np.array([7.0]))
-        assert np.array_equal(model._mean_accs[0], [7.0])
+        assert np.array_equal(model._mean_acc[0], [7.0])
         assert model._weight_acc[0] == 1.0
         assert decay_norm(int(model._age[0]), 0.9) == 1.0
         assert decay_norm(int(model._weight_age[0]), 0.3) == 1.0
@@ -101,7 +101,7 @@ class TestNormalize:
         s = batch_footprint(pts, m=1.7, gamma=gamma, beta=beta)
         model = folded([pts], gamma, beta)
         (back,) = model.snapshot()
-        assert np.array_equal(back.mu, model._mean_accs[0] / decay_norm(back.age, gamma))
+        assert np.array_equal(back.mu, model._mean_acc[0] / decay_norm(back.age, gamma))
         weight_age = int(model._weight_age[0])
         assert weight_age == back.age
         assert back.weight == min(1.0, model._weight_acc[0] / decay_norm(weight_age, beta))

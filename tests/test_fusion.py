@@ -218,10 +218,17 @@ class TestUnion2x2:
         assert np.allclose(fuse(*args), want, rtol=1e-12)
 
     def test_non_finite_input_takes_the_dense_path(self):
-        # covariance_union refuses infs and NaNs; so must the closed form
-        bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            fuse(np.zeros(2), bad, np.zeros(2), np.eye(2), np.zeros(2))
+        # covariance_union refuses infs and NaNs; so must the closed form,
+        # whether an input is not finite or the whitened eigenvalue overflows
+        z, zero = np.zeros(2), [0.0, 0.0]
+        for u2, u1 in [(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2)),
+                       (np.diag([1e-300, 1.0]), np.diag([1e300, 1e-300]))]:
+            assert fusion._union_2x2(zero, u2.tolist(), zero, u1.tolist(), zero) is None
+            with pytest.raises(ValueError) as want:
+                covariance_union(u1, u2)
+            with pytest.raises(ValueError) as got:
+                fuse(z, u2, z, u1, z)
+            assert str(got.value) == str(want.value)
 
 
 def low_rank_of(u2):

@@ -1,4 +1,4 @@
-"""The library's line budget: src/spclust stays at or below 2,002 lines.
+"""The library's line budget: src/spclust stays at or below 1,995 lines.
 
 The count is that of `wc -l src/spclust/*.py`. A change that would pass
 the budget deletes code elsewhere to pay for what it adds (ROADMAP.md,
@@ -7,7 +7,7 @@ the budget deletes code elsewhere to pay for what it adds (ROADMAP.md,
 
 from pathlib import Path
 
-LINE_BUDGET = 2002
+LINE_BUDGET = 1995
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "spclust"
 
 
