@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import assign_with_distances, get_clustering
+from .clustering import assign_points, assign_with_distances, get_clustering
 from .datasets import ORDER_MODES, SOURCES, StreamSpec, build_stream
 from .engine import SpcModel, SpcParams
 from .errors import DimensionMismatch, SpcError
@@ -41,6 +41,8 @@ _ENGINE_HELP = {
     "nlt_max": "log-typicality limit for prune merges", "min_pts": "DBSCAN density threshold",
 }
 
+_OUTPUTS = ("metrics", "snapshot", "assignments", "grid")
+
 # Every setting, declared once: config key -> (type, default, help). The
 # key with dashes is its flag, the type coerces config-file and --sweep
 # values, and the engine's rows take type and default from SpcParams.
@@ -58,7 +60,7 @@ _SETTINGS = {
     **dict.fromkeys(("n_per_class", "n_clusters", "dim", "n_points"), (int, None, None)),
     **dict.fromkeys(("separation", "cluster_std", "noise_std", "long_std"),
                     (float, None, None)),
-    "outputs": (str, "metrics,snapshot", "comma list of metrics,snapshot,assignments,grid"),
+    "outputs": (str, "metrics,snapshot", "comma list of " + ",".join(_OUTPUTS)),
     "output_dir": (str, "out", None),
     "grid_bounds": (str, None, "x0,x1,y0,y1"),
     "grid_resolution": (int, 200, None),
@@ -110,6 +112,13 @@ def _merge_config(args) -> dict:
     if args.config is not None:
         config.update(_load_config_file(args.config))
     config.update({k: getattr(args, k) for k in config if getattr(args, k) is not None})
+    # checked before the stream is built or an output written
+    for name in config["outputs"].split(","):
+        if name.strip() not in _OUTPUTS:
+            raise ValueError(f"unknown output {name.strip()!r}, expected {','.join(_OUTPUTS)}")
+    bounds = config["grid_bounds"]
+    if bounds is not None and len([float(b) for b in bounds.split(",")]) != 4:
+        raise ValueError(f"grid_bounds must be x0,x1,y0,y1, got {bounds!r}")
     return config
 
 
@@ -177,8 +186,7 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
     labels = get_clustering(model)
     xs = np.array([p.x for p in points])
     truth = [p.label for p in points]
-    cluster_ids, _, _ = assign_with_distances(model, labels, xs)
-    pred = cluster_ids.tolist()
+    pred = assign_points(model, labels, xs)
 
     metrics = {
         "purity": purity(pred, truth),
@@ -256,15 +264,13 @@ def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
     bounds = config["grid_bounds"]
     if bounds is None:
         mus = np.array([s.mu for s in model.snapshot()])
-        lo = mus.min(axis=0)
-        hi = mus.max(axis=0)
+        lo, hi = mus.min(axis=0), mus.max(axis=0)
         pad = 0.1 * np.maximum(hi - lo, 1.0)
         x0, x1, y0, y1 = lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
     else:
         x0, x1, y0, y1 = (float(b) for b in bounds.split(","))
     res = int(config["grid_resolution"])
-    xs = np.linspace(x0, x1, res)
-    ys = np.linspace(y0, y1, res)
+    xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)

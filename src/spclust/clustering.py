@@ -11,7 +11,9 @@ assignment the engine's per-structure distance kernels
 (SpcModel.sq_distance_rows()); no spread is copied or factored again.
 Assignment takes the points a fixed-size block at a time and keeps a
 running minimum over the structures' rows, so it holds O(P + block * d)
-values for P points rather than a structures-by-points matrix.
+values for P points rather than a structures-by-points matrix, and it
+transforms only the squared distances that can still beat a point's
+running winner.
 """
 
 from collections import deque
@@ -95,9 +97,7 @@ def pairwise_structure_distances(factors, m: float) -> np.ndarray:
     d_sq = np.zeros((n, n))
     for i, (mu_i, chol_i) in enumerate(factors):
         for j, (mu_j, _) in enumerate(factors):
-            if i == j:
-                continue
-            delta = mu_j - mu_i
+            delta = mu_j - mu_i  # zero on the diagonal
             d_sq[i, j] = linalg.solve_norm_sq(chol_i, delta) if np.any(delta) else 0.0
     # u[i, j] is structure j's mean in structure i; the product is commutative,
     # so the matrix is bitwise symmetric with a zero diagonal
@@ -116,20 +116,22 @@ def assign_points(model: SpcModel, labels: ClusterLabels, points) -> list[int]:
     return cluster_ids.tolist()
 
 
+@np.errstate(over="ignore")  # a reach beyond the largest double is inf
 def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     """Vectorized assignment returning (cluster_ids, structure_ids, distances).
 
     points is an (n, dim) array; a 1-D array is read as n scalars only
     when the model itself is one-dimensional. Up to d = 3 each distance
     is bit for bit decision_distance's. A point whose offset from a mean
-    overflows is at distance 1.0 from that structure.
+    overflows is at distance 1.0 from that structure. Only the squared
+    distances within a point's current winner's reach are transformed;
+    ties go to the lowest structure id.
     """
     ids = model.ids()
     if not ids:
         raise ValueError("model holds no structures")
-    for ident in ids:
-        if ident not in labels.labels:
-            raise KeyError(f"labels missing structure {ident}")
+    if not labels.labels.keys() >= set(ids):
+        raise KeyError(f"labels missing structure {min(set(ids) - labels.labels.keys())}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and model.dim == 1:
         pts = pts[:, None]
@@ -143,13 +145,20 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
     dist = np.full(n, np.inf)
     for lo in range(0, n, block):
         best, best_row = dist[lo:lo + block], nearest[lo:lo + block]
+        reach = np.full(best.shape, np.inf)
         # rows come in ascending-id order and only a strictly smaller
-        # distance replaces the running minimum, so ties go to the lowest id
+        # distance replaces the running minimum, so ties go to the lowest id.
+        # The distance never falls as d_sq grows: a point beyond its winner's
+        # d_sq, by a margin for any ulp of log and exp, keeps its winner
         for row, d_sq in enumerate(model.sq_distance_rows(pts[lo:lo + block])):
-            u = _typicality_of_dsq(d_sq, m)
+            near = np.flatnonzero(d_sq <= reach)
+            if not near.size:
+                continue
+            u = _typicality_of_dsq(d_sq[near], m)
             row_dist = 1.0 - u * u
-            closer = row_dist < best
-            np.copyto(best, row_dist, where=closer)
-            np.copyto(best_row, row, where=closer)
+            win = row_dist < best[near]
+            near = near[win]
+            best[near], best_row[near] = row_dist[win], row
+            reach[near] = d_sq[near] * (1.0 + 1e-9)
     label_arr = np.asarray([labels.labels[i] for i in ids])
     return label_arr[nearest], np.asarray(ids)[nearest], dist

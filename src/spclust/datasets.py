@@ -213,13 +213,11 @@ def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTI
                 long_std**2 * np.outer(axis, axis) + short_std**2 * np.outer(perp, perp)
             )
     rng = np.random.default_rng(seed)
-    vectors, labels = [], []
-    for c, (mean, cov) in enumerate(zip(means, edge_covariances)):
+    vectors = []
+    for mean, cov in zip(means, edge_covariances):
         pts = rng.multivariate_normal(mean, cov, size=n_per_class, method="cholesky")
-        pts = pts[rng.permutation(n_per_class)]
-        vectors.extend(pts)
-        labels.extend([c] * n_per_class)
-    return _stamp(vectors, labels)
+        vectors.extend(pts[rng.permutation(n_per_class)])
+    return _stamp(vectors, np.repeat(np.arange(3), n_per_class))
 
 
 def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 1024,
@@ -244,13 +242,11 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
         centers = scale * rng.standard_normal((n_clusters, dim))
         if _min_pairwise(centers) >= floor:
             break
-    vectors, labels = [], []
-    for c in range(n_clusters):
-        pts = centers[c] + cluster_std * rng.standard_normal((per, dim))
-        vectors.extend(pts)
-        labels.extend([c] * per)
+    # cluster by cluster, one draw: the same values as a draw per cluster
+    labels = np.repeat(np.arange(n_clusters), per)
+    vectors = centers[labels] + cluster_std * rng.standard_normal((n_points, dim))
     order = rng.permutation(n_points)
-    return _stamp([vectors[i] for i in order], [labels[i] for i in order])
+    return _stamp(vectors[order], labels[order])
 
 
 def _min_pairwise(centers: np.ndarray) -> float:
@@ -273,12 +269,8 @@ def gen_two_circles(n_per_class: int = 250, centers=((0.0, 0.0), (2.1, 0.0)),
             center[0] + r * np.cos(theta),
             center[1] + r * np.sin(theta),
         ]))
-    vectors, labels = [], []
-    for i in range(n_per_class):
-        for c in range(2):
-            vectors.append(per_class[c][i])
-            labels.append(c)
-    return _stamp(vectors, labels)
+    # round-robin: point i of class 0, then point i of class 1
+    return _stamp(np.stack(per_class, axis=1).reshape(-1, 2), [0, 1] * n_per_class)
 
 
 # Every stream source by name; build_stream passes its seed and the spec's params.

@@ -18,14 +18,11 @@ def contingency_table(pred, truth) -> np.ndarray:
         raise LengthMismatch(f"label lengths differ: {len(pred)} vs {len(truth)}")
     if not pred:
         raise ValueError("label sequences must be nonempty")
-    row_of: dict = {}
-    col_of: dict = {}
-    pairs = []
-    for p, t in zip(pred, truth):
-        pairs.append((row_of.setdefault(p, len(row_of)), col_of.setdefault(t, len(col_of))))
+    row_of, col_of = {}, {}
+    rows = [row_of.setdefault(p, len(row_of)) for p in pred]
+    cols = [col_of.setdefault(t, len(col_of)) for t in truth]
     counts = np.zeros((len(row_of), len(col_of)), dtype=np.int64)
-    for r, c in pairs:
-        counts[r, c] += 1
+    np.add.at(counts, (rows, cols), 1)
     return counts
 
 

@@ -34,10 +34,6 @@ class Structure:
     weight: float
     age: int
 
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
 
 def _check_fuzzifier(m: float) -> None:
     if not 1.0 < m < np.inf:

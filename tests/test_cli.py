@@ -53,12 +53,19 @@ class TestRun:
         ("--source", "two-circles", "--nlt-max", "nan"),
         ("--source", "gaussian-highdim", "--n-clusters", "0"),
         ("--source", "two-circles", "--m", "inf"),
+        ("--source", "two-circles", "--outputs", "metrics,snapshto"),
+        ("--source", "two-circles", "--grid-bounds", "1,2,3"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, flags):
         rc = run_cli("run", *flags, "--output-dir", tmp_path / "out")
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+        if "--outputs" in flags:
+            assert err.startswith("error: unknown output 'snapshto'")
+        if "--grid-bounds" in flags:
+            assert "x0,x1,y0,y1" in err
 
     def test_csv_source_round_trip(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -18,6 +18,7 @@ from spclust.errors import DimensionMismatch
 from spclust.typicality import (
     NLT_CEILING,
     Structure,
+    _typicality_of_dsq,
     decision_distance,
     nlt,
     structure_distance,
@@ -421,6 +422,49 @@ def nearest_by_decision_distance(model, point):
     return model.ids()[k], dists[k]
 
 
+def reference_assign(model, labels, points):
+    """Reference assignment in its plain form: every row of every block
+    transformed, and a running minimum that only a strictly smaller distance
+    replaces. assign_with_distances must give these ids and distance bits."""
+    ids = model.ids()
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    block = max(1, clustering._BLOCK_VALUES // model.dim)
+    nearest = np.zeros(n, dtype=np.intp)
+    dist = np.full(n, np.inf)
+    for lo in range(0, n, block):
+        best, best_row = dist[lo:lo + block], nearest[lo:lo + block]
+        for row, d_sq in enumerate(model.sq_distance_rows(pts[lo:lo + block])):
+            u = _typicality_of_dsq(d_sq, model.params.m)
+            row_dist = 1.0 - u * u
+            closer = row_dist < best
+            np.copyto(best, row_dist, where=closer)
+            np.copyto(best_row, row, where=closer)
+    label_arr = np.asarray([labels.labels[i] for i in ids])
+    return label_arr[nearest], np.asarray(ids)[nearest], dist
+
+
+def random_assign_case(rng):
+    """A model over a duplicate-point pool, so some structures share a mean
+    and spread and give equal squared distances, and queries near and far."""
+    dim = int(rng.choice([1, 2, 3, 4, 8, 33, 40]))
+    budget = int(rng.integers(2, 31))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    pool = scale * rng.standard_normal((int(rng.integers(1, budget + 2)), dim))
+    params = SpcParams(max_structures=budget, m=float(rng.choice([1.1, 1.4, 2.0, 3.0])),
+                       gamma=float(rng.choice([0.0, 0.1])), beta=float(rng.choice([0.0, 0.1])),
+                       w_min=float(rng.choice([0.01, 0.3])))
+    model = SpcModel(params)
+    for k in rng.integers(0, len(pool), int(rng.integers(1, 3 * budget))):
+        model.update(pool[k])
+    means = np.array([mu for mu, _ in model.factors()])
+    huge = 1.5e308 * rng.choice([-1.0, 1.0], (6, dim))
+    queries = np.vstack([means, pool, huge, np.full((1, dim), 1.5e308),
+                         *(10.0 ** e * rng.standard_normal((8, dim))
+                           for e in (0, 1, 3, 8, 50, 154, 155, 200))])
+    return model, queries
+
+
 class TestAssignKernel:
     """Assignment runs the engine's distance kernels over blocks of points,
     keeping a running minimum over the structures in id order."""
@@ -506,6 +550,20 @@ class TestAssignKernel:
             assert decision_distance(near, 1e200 * e0, m) == 1.0
         assert got == (1.0, 0.0, NLT_CEILING)
         assert dists.tolist() == [got[0]]
+
+    def test_matches_reference_running_minimum_exactly(self):
+        # squared distances beyond a point's winner are never transformed;
+        # ids and distance bits must still be the full running minimum's,
+        # far-field ties at 1.0 and equal squared distances included
+        rng = np.random.default_rng(61)
+        for case in range(60):
+            model, queries = random_assign_case(rng)
+            labels = get_clustering(model)
+            got = assign_with_distances(model, labels, queries)
+            want = reference_assign(model, labels, queries)
+            assert got[0].tolist() == want[0].tolist(), case
+            assert got[1].tolist() == want[1].tolist(), case
+            assert np.array_equal(as_bits(got[2]), as_bits(want[2])), case
 
     def test_coinciding_structures_resolve_to_the_lower_id(self):
         model = SpcModel(SpcParams(max_structures=8))

@@ -218,3 +218,17 @@ class TestOneTransform:
         d_sq = np.array([0.0, 1e300, np.inf, np.nan])
         assert _typicality_of_dsq(d_sq, 1.001).tolist() == [1.0, 0.0, 0.0, 0.0]
         assert _nlt_of_dsq(d_sq, 1.001).tolist() == [0.0] + [NLT_CEILING] * 3
+
+    @pytest.mark.parametrize("m", [1.01, 1.1, 1.5, 2.0, 3.0, 10.0])
+    def test_decision_distance_never_falls_as_d_sq_grows(self, m):
+        # assignment transforms a row only where its squared distance can
+        # still beat the running winner's; that is exact because 1 - u^2
+        # never decreases along sorted squared distances
+        rng = np.random.default_rng(53)
+        d_sq = np.exp(rng.uniform(math.log(1e-320), math.log(1.79e308), 20000))
+        d_sq = np.sort(np.concatenate([d_sq, np.nextafter(d_sq, np.inf),
+                                       [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, np.inf]]))
+        u = _typicality_of_dsq(d_sq, m)
+        assert np.all(np.diff(1.0 - u * u) >= 0.0)
+        u = _typicality_of_dsq(np.array([np.inf, np.nan]), m)
+        assert (1.0 - u * u).tolist() == [1.0, 1.0]
