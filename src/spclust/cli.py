@@ -21,6 +21,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .clustering import assign_points, assign_with_distances, get_clustering
 from .datasets import ORDER_MODES, SOURCES, StreamSpec, build_stream
@@ -116,9 +117,16 @@ def _merge_config(args) -> dict:
     for name in config["outputs"].split(","):
         if name.strip() not in _OUTPUTS:
             raise ValueError(f"unknown output {name.strip()!r}, expected {','.join(_OUTPUTS)}")
+    if config["grid_resolution"] < 1:
+        raise ValueError(f"grid_resolution must be >= 1, got {config['grid_resolution']}")
     bounds = config["grid_bounds"]
-    if bounds is not None and len([float(b) for b in bounds.split(",")]) != 4:
+    values = [0.0] * 4 if bounds is None else [float(b) for b in bounds.split(",")]
+    if len(values) != 4:
         raise ValueError(f"grid_bounds must be x0,x1,y0,y1, got {bounds!r}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"grid_bounds must be finite, got {bounds!r}")
+    if values[0] > values[1] or values[2] > values[3]:
+        raise ValueError(f"grid_bounds need x0 <= x1 and y0 <= y1, got {bounds!r}")
     return config
 
 
@@ -136,10 +144,6 @@ def _load_config_file(path: Path) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _SETTINGS[key][0](value)
     return out
-
-
-def _params(config: dict) -> SpcParams:
-    return SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
 
 
 def _build_stream(config: dict):
@@ -178,7 +182,7 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
     if not points:
         raise ValueError("empty stream: nothing to cluster")
 
-    params = _params(config)
+    params = SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
     model = SpcModel(params)
     for p in points:
         model.update(p.x)
@@ -205,7 +209,7 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {"grid"} if grid_only else {o.strip() for o in config["outputs"].split(",")}
 
-    if "metrics" in outputs or not grid_only:
+    if not grid_only:
         _write_json(out_dir / "metrics.json", metrics)
     if "snapshot" in outputs:
         _write_snapshot(out_dir / "snapshot.csv", model)
@@ -222,6 +226,18 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _reprs(values) -> list[str]:
+    """repr of each float of a 1-D array, from one orjson call. orjson prints the same
+    digits, but 0.00001, 1e16 and null where repr prints 1e-05, 1e+16 and nan, so the
+    nonzero |v| < 1e-4 or >= 1e16 and the nonfinite v are formatted again by repr."""
+    values = np.ascontiguousarray(values, dtype=float)
+    out = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0)).tolist():
+        out[i] = repr(float(values[i]))
+    return out if values.size else []
 
 
 def _write_snapshot(path: Path, model: SpcModel) -> None:
@@ -246,10 +262,8 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
         for ident, s in zip(model.ids(), model.snapshot()):
             key = s.sigma.tobytes()
             if key not in spreads:
-                upper = list(map(repr, s.sigma[rows, cols].tolist()))
-                spreads[key] = "," + ",".join(mirror(upper)) + "\n"
-            f.write(",".join([str(ident), str(s.age), repr(float(s.weight)),
-                              *map(repr, s.mu.tolist())]))
+                spreads[key] = "," + ",".join(mirror(_reprs(s.sigma[rows, cols]))) + "\n"
+            f.write(",".join([str(ident), str(s.age), repr(float(s.weight)), *_reprs(s.mu)]))
             f.write(spreads[key])
 
 
@@ -269,17 +283,16 @@ def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
         x0, x1, y0, y1 = lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
     else:
         x0, x1, y0, y1 = (float(b) for b in bounds.split(","))
-    res = int(config["grid_resolution"])
+    res = config["grid_resolution"]
     xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)
     # row k of the lattice is (xs[k % res], ys[k // res])
-    cells = itertools.product(map(repr, ys.tolist()), map(repr, xs.tolist()))
+    pts = np.column_stack([np.tile(xs, res), np.repeat(ys, res)])
+    cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)
+    cells = itertools.product(_reprs(ys), _reprs(xs))
     with path.open("w") as f:
         f.write("x,y,cluster,structure,distance\n")
-        f.writelines(f"{x},{y},{c},{s},{dist!r}\n" for (y, x), c, s, dist in
-                     zip(cells, cluster_ids.tolist(), structure_ids.tolist(), dists.tolist()))
+        f.writelines(f"{x},{y},{c},{s},{dist}\n" for (y, x), c, s, dist in
+                     zip(cells, cluster_ids.tolist(), structure_ids.tolist(), _reprs(dists)))
 
 
 _SWEEP_METRICS = ("purity", "nmi", "n_structures", "n_clusters")
@@ -314,9 +327,7 @@ def _run_sweep(config: dict, sweep_specs) -> None:
         rows.append({**run, **{k: metrics[k] for k in _SWEEP_METRICS}})
 
     header = list(sweeps) + list(_SWEEP_METRICS)
-    lines = [",".join(header)] + [
-        ",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header)
-        for row in rows]
+    lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in rows]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -81,8 +81,7 @@ def get_clustering(model: SpcModel) -> ClusterLabels:
     """Cluster the model's structures with DBSCAN over SpcModel.distances()."""
     if not len(model):
         raise ValueError("model holds no structures to cluster")
-    params = model.params
-    labels = labels_from_distances(model.distances(), params.epsilon, params.min_pts)
+    labels = labels_from_distances(model.distances(), model.params.epsilon, model.params.min_pts)
     return ClusterLabels(labels=dict(zip(model.ids(), labels)))
 
 

@@ -9,7 +9,7 @@ over budget the two most similar structures are merged.
 
 Each structure is a damped-window footprint. Its mean and weight are
 un-normalized damped sums (accumulators), divided by the closed-form
-window normalizer decay_norm only for the normalized view; a merge
+window normalizers decay_norms only for the normalized view; a merge
 shifts the older structure's accumulators back by the younger one's
 window length and adds the younger one's, the damped sum over both
 windows in closed form. The mean window is the structure's age, one
@@ -56,17 +56,9 @@ from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
 _SIGNS = np.array([[1.0], [-1.0]])  # delta and -delta: both directions of a row
 
 
-def decay_norm(steps: int, rate: float) -> float:
-    """Damped-window normalizer: sum of e^(-rate * k) for k = 0..steps-1.
-
-    Closed form (1 - e^(-rate*steps)) / (1 - e^(-rate)), evaluated with
-    expm1 so it degrades gracefully to ``steps`` as rate -> 0.
-    """
-    return decay_norms([steps], rate)[0]
-
-
 def decay_norms(steps: list[int], rate: float) -> list[float]:
-    """decay_norm of each window length in steps, with expm1(-rate) taken once."""
+    """Damped-window normalizer of each window length k in steps, the sum of e^(-rate * j)
+    over j < k: expm1(-rate * k) / expm1(-rate), or k at rate 0."""
     if min(steps, default=1) < 1:
         raise ValueError(f"window length must be >= 1, got {min(steps)}")
     if rate == 0.0:
@@ -276,8 +268,6 @@ class SpcModel:
         self._weight_age[s] = weight_age
         self._n = s + 1
         self._dist[s, :s + 1] = math.inf
-        if not s:
-            return np.empty(0)
         self._dist[:s, s], typicality = self._distance_row(s)
         return typicality
 

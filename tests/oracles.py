@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from spclust import linalg
-from spclust.engine import SpcModel, SpcParams, decay_norm
+from spclust.engine import SpcModel, SpcParams, decay_norms
 from spclust.typicality import Structure, _check_fuzzifier, _typicality_of_dsq
 
 
@@ -45,7 +45,7 @@ def batch_footprint(points, m: float, gamma: float = 0.0, beta: float = 0.0) -> 
         delta = pts[t] - running_mu
         scatter_acc = decay * scatter_acc + np.outer(delta, delta)
 
-    g = decay_norm(n, gamma)
+    g = decay_norms([n], gamma)[0]
     mu = mean_acc / g
     sigma = scatter_acc / g
 
@@ -59,7 +59,7 @@ def batch_footprint(points, m: float, gamma: float = 0.0, beta: float = 0.0) -> 
         d_sq[zero_rows] = 0.0
     u = _typicality_of_dsq(d_sq, m)
     w_weights = np.exp(-beta * np.arange(n - 1, -1, -1, dtype=float))
-    w = float(w_weights @ u) / decay_norm(n, beta)
+    w = float(w_weights @ u) / decay_norms([n], beta)[0]
 
     return Structure(mu=mu, sigma=sigma, weight=w, age=n)
 

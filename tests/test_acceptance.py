@@ -17,7 +17,7 @@ import pytest
 
 import spclust as sp
 from spclust.clustering import labels_from_distances
-from spclust.engine import decay_norm
+from spclust.engine import decay_norms
 from spclust.fusion import covariance_union
 
 from oracles import batch_footprint, folded, is_psd
@@ -74,7 +74,7 @@ def test_02_zero_decay_reduces_to_arithmetic_mean():
         s = batch_footprint(pts, m=1.5)
         if not np.allclose(s.mu, pts.mean(axis=0), rtol=0, atol=1e-12):
             ok = False
-        if decay_norm(n, 0.0) != float(n):
+        if decay_norms([n], 0.0)[0] != float(n):
             ok = False
     _report(2, "zero decay gives arithmetic mean and window length", ok)
 

@@ -3,6 +3,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spclust import cli
 from spclust.clustering import assign_with_distances
@@ -13,6 +16,17 @@ from spclust.engine import SpcParams
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+# grid settings refused before any output, each with its own message
+_GRID_ERRORS = {
+    ("--grid-resolution", "0"): "grid_resolution must be >= 1, got 0",
+    ("--grid-resolution", "-3"): "grid_resolution must be >= 1, got -3",
+    ("--grid-bounds=nan,1,0,1",): "grid_bounds must be finite, got 'nan,1,0,1'",
+    ("--grid-bounds=0,1,-inf,1",): "grid_bounds must be finite, got '0,1,-inf,1'",
+    ("--grid-bounds=1,0,0,1",): "grid_bounds need x0 <= x1 and y0 <= y1, got '1,0,0,1'",
+    ("--grid-bounds=0,1,1,0",): "grid_bounds need x0 <= x1 and y0 <= y1, got '0,1,1,0'",
+}
 
 
 class TestRun:
@@ -55,6 +69,7 @@ class TestRun:
         ("--source", "two-circles", "--m", "inf"),
         ("--source", "two-circles", "--outputs", "metrics,snapshto"),
         ("--source", "two-circles", "--grid-bounds", "1,2,3"),
+        *(("--source", "two-circles", *grid) for grid in _GRID_ERRORS),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, flags):
         rc = run_cli("run", *flags, "--output-dir", tmp_path / "out")
@@ -66,6 +81,8 @@ class TestRun:
             assert err.startswith("error: unknown output 'snapshto'")
         if "--grid-bounds" in flags:
             assert "x0,x1,y0,y1" in err
+        if flags[2:] in _GRID_ERRORS:
+            assert err == f"error: {_GRID_ERRORS[flags[2:]]}\n"
 
     def test_csv_source_round_trip(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -307,6 +324,30 @@ class TestSettingsTable:
         assert [type(v) for _, v in spec.params] == [type(v) for _, v in expected]
 
 
+class TestReprs:
+    """cli._reprs formats a float array with orjson and gives repr's bytes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+    def test_equals_repr(self, values):
+        # st.floats() draws NaN, both infinities, subnormals and -0.0
+        assert cli._reprs(values) == list(map(repr, values.tolist()))
+
+    def test_edges_of_orjson_notation(self):
+        edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+                 np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf),
+                 5e-324, 1.7976931348623157e308, 0.0, np.nan, np.inf, 1.5e-7, 1e-5]
+        values = np.array(edges + [-v for v in edges])
+        assert cli._reprs(values) == list(map(repr, values.tolist()))
+
+    def test_non_contiguous_slice(self):
+        matrix = np.linspace(-3e-5, 3e17, 24).reshape(4, 6)
+        column = matrix[:, 1]
+        assert not column.flags.c_contiguous
+        assert cli._reprs(column) == list(map(repr, column.tolist()))
+        assert cli._reprs(matrix[1, ::2]) == list(map(repr, matrix[1, ::2].tolist()))
+
+
 # Reference writers: one repr per element, rows joined into one string.
 # The CLI's writers format each distinct value once and must give the same
 # bytes.
@@ -383,8 +424,13 @@ class TestWritersMatchReference:
         # spreads of rank 17-19
         ("--source", "gaussian-highdim", "--n", "8", "--n-clusters", "4", "--dim", "64",
          "--n-points", "80", "--seed", "2", "--outputs", "snapshot,assignments"),
+        # means and spreads of 1e16 and more, and spread entries below 1e-4:
+        # repr's exponent notation, which orjson writes differently
+        ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "4",
+         "--n-points", "60", "--seed", "2", "--separation", "1e17", "--cluster-std", "1",
+         "--outputs", "snapshot,assignments"),
     ], ids=["two-circles-default-lattice", "two-circles-grid-bounds", "highdim-4",
-            "highdim-33", "highdim-1", "highdim-64"])
+            "highdim-33", "highdim-1", "highdim-64", "highdim-4-exponents"])
     def test_outputs_byte_identical(self, tmp_path, monkeypatch, args):
         calls = {}
         for name, (writer, _) in _REFERENCES.items():
@@ -403,3 +449,6 @@ class TestWritersMatchReference:
             reference = tmp_path / ("reference-" + name)
             _REFERENCES[name][1](reference, *inputs)
             assert (out / name).read_bytes() == reference.read_bytes(), name
+        if "1e17" in args:
+            snapshot = (out / "snapshot.csv").read_text()
+            assert "e+" in snapshot and "e-" in snapshot

@@ -13,7 +13,7 @@ from spclust.clustering import (
     labels_from_distances,
 )
 from spclust.datasets import gen_gaussian_highdim
-from spclust.engine import SpcModel, SpcParams, decay_norm
+from spclust.engine import SpcModel, SpcParams, decay_norms
 from spclust.errors import DimensionMismatch, NoConvergence, NotPositiveDefinite, UnknownIdentifier
 from spclust.metrics import purity
 from spclust.typicality import decision_distance, nlt
@@ -155,8 +155,8 @@ class TestWeightUpdate:
         beta = 0.2
         d = math.exp(-beta)
         assert origin_weights(beta) == pytest.approx([
-            (d + 0.4) / decay_norm(2, beta),
-            (d * d + d * 0.4 + 0.1) / decay_norm(3, beta),
+            (d + 0.4) / decay_norms([2], beta)[0],
+            (d * d + d * 0.4 + 0.1) / decay_norms([3], beta)[0],
         ])
 
     def test_atypical_point_halves_weight(self):
@@ -345,7 +345,7 @@ class TestMergeStructures:
         assert weights[older] < 1.0 and weights[younger] < 1.0
         model.merge_structures(model.ids()[younger], model.ids()[older])
         expected = min(1.0, (math.exp(-beta * wage_new) * acc_old + acc_new)
-                       / decay_norm(wage_old + wage_new, beta))
+                       / decay_norms([wage_old + wage_new], beta)[0])
         assert model.snapshot()[-1].weight == expected
 
     def test_unknown_identifier(self):

@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 import spclust.fusion as fusion
-from spclust.engine import SpcModel, SpcParams, decay_norm, decay_norms
+from spclust.engine import SpcModel, SpcParams, decay_norms
 
 from oracles import batch_footprint, folded
 
 
 class TestDecayNorm:
     def test_zero_rate_counts_steps(self):
-        assert decay_norm(5, 0.0) == 5.0
+        assert decay_norms([5], 0.0)[0] == 5.0
 
     def test_single_step(self):
         for rate in (0.0, 0.3, math.log(2.0), 5.0):
-            assert decay_norm(1, rate) == pytest.approx(1.0)
+            assert decay_norms([1], rate)[0] == pytest.approx(1.0)
 
     def test_geometric_hand_case(self):
-        assert decay_norm(2, math.log(2.0)) == pytest.approx(1.5)
+        assert decay_norms([2], math.log(2.0))[0] == pytest.approx(1.5)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(2)
@@ -29,11 +29,11 @@ class TestDecayNorm:
             steps = int(rng.integers(1, 60))
             rate = float(rng.uniform(0.0, 1.5))
             direct = sum(math.exp(-rate * (steps - t)) for t in range(1, steps + 1))
-            assert decay_norm(steps, rate) == pytest.approx(direct, rel=1e-12)
+            assert decay_norms([steps], rate)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
-            decay_norm(0, 0.1)
+            decay_norms([0], 0.1)
         with pytest.raises(ValueError):
             decay_norms([3, 0, 5], 0.1)
 
@@ -45,7 +45,7 @@ class TestDecayNorm:
         one_at_a_time = [float(k) if rate == 0.0 else math.expm1(-rate * k) / math.expm1(-rate)
                          for k in ages]
         assert decay_norms(ages, rate) == one_at_a_time
-        assert [decay_norm(k, rate) for k in ages] == one_at_a_time
+        assert [decay_norms([k], rate)[0] for k in ages] == one_at_a_time
 
 
 class TestNewSingleton:
@@ -73,8 +73,8 @@ class TestNewSingleton:
         model.update(np.array([7.0]))
         assert np.array_equal(model._mean_acc[0], [7.0])
         assert model._weight_acc[0] == 1.0
-        assert decay_norm(int(model._age[0]), 0.9) == 1.0
-        assert decay_norm(int(model._weight_age[0]), 0.3) == 1.0
+        assert decay_norms([int(model._age[0])], 0.9)[0] == 1.0
+        assert decay_norms([int(model._weight_age[0])], 0.3)[0] == 1.0
 
 
 class TestNormalize:
@@ -83,7 +83,7 @@ class TestNormalize:
         pts = rng.standard_normal((20, 3))
         s = batch_footprint(pts, m=1.5)
         assert np.allclose(s.mu, pts.mean(axis=0), atol=1e-12)
-        assert decay_norm(20, 0.0) == 20.0
+        assert decay_norms([20], 0.0)[0] == 20.0
 
     def test_scatter_uses_running_means_at_zero_decay(self):
         # damped scatter at rate zero: deviations from the running mean at
@@ -101,10 +101,10 @@ class TestNormalize:
         s = batch_footprint(pts, m=1.7, gamma=gamma, beta=beta)
         model = folded([pts], gamma, beta)
         (back,) = model.snapshot()
-        assert np.array_equal(back.mu, model._mean_acc[0] / decay_norm(back.age, gamma))
+        assert np.array_equal(back.mu, model._mean_acc[0] / decay_norms([back.age], gamma)[0])
         weight_age = int(model._weight_age[0])
         assert weight_age == back.age
-        assert back.weight == min(1.0, model._weight_acc[0] / decay_norm(weight_age, beta))
+        assert back.weight == min(1.0, model._weight_acc[0] / decay_norms([weight_age], beta)[0])
         assert np.allclose(back.mu, s.mu)
         assert back.weight == pytest.approx(1.0)
         assert back.age == s.age
@@ -185,8 +185,8 @@ class TestMergeFootprints:
         model.merge_structures(*model.ids())
         assert model.diagnostics.cu_fallbacks == 1
         assert model.diagnostics.merges == merges + 1
-        expected = (math.exp(-gamma * 3) * (sigma_old * decay_norm(5, gamma))
-                    + sigma_new * decay_norm(3, gamma)) / decay_norm(8, gamma)
+        expected = (math.exp(-gamma * 3) * (sigma_old * decay_norms([5], gamma)[0])
+                    + sigma_new * decay_norms([3], gamma)[0]) / decay_norms([8], gamma)[0]
         assert np.array_equal(model.snapshot()[0].sigma, expected)
 
 
