@@ -12,36 +12,14 @@ structure.
 
 from .clustering import ClusterLabels, assign_points, get_clustering
 from .engine import Diagnostics, SpcModel, SpcParams
-from .errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    MissingColumn,
-    NoConvergence,
-    NotPositiveDefinite,
-    ParseError,
-    SpcError,
-    UnknownIdentifier,
-)
+from .errors import (DimensionMismatch, LengthMismatch, MissingColumn, NoConvergence,
+                     NotPositiveDefinite, ParseError, SpcError, UnknownIdentifier)
 from .fusion import covariance_union, fuse, pad_covariance
-from .datasets import (
-    LabeledPoint,
-    StreamSpec,
-    build_stream,
-    gen_gaussian_highdim,
-    gen_overlapping_triangle,
-    gen_sine_waves,
-    gen_two_circles,
-    load_csv,
-    reorder,
-)
+from .datasets import (LabeledPoint, StreamSpec, build_stream, gen_gaussian_highdim,
+                       gen_overlapping_triangle, gen_sine_waves, gen_two_circles, load_csv,
+                       reorder)
 from .metrics import contingency_table, nmi, purity
-from .typicality import (
-    Structure,
-    decision_distance,
-    nlt,
-    structure_distance,
-    typicality,
-    typicality_spherical,
-)
+from .typicality import (Structure, decision_distance, nlt, structure_distance, typicality,
+                         typicality_spherical)
 
 __version__ = "0.1.0"

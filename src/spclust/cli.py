@@ -14,7 +14,6 @@ import argparse
 import inspect
 import itertools
 import json
-import operator
 import sys
 import time
 from dataclasses import asdict, fields
@@ -117,8 +116,11 @@ def _merge_config(args) -> dict:
     for name in config["outputs"].split(","):
         if name.strip() not in _OUTPUTS:
             raise ValueError(f"unknown output {name.strip()!r}, expected {','.join(_OUTPUTS)}")
-    if config["grid_resolution"] < 1:
-        raise ValueError(f"grid_resolution must be >= 1, got {config['grid_resolution']}")
+    for key, lo in {"grid_resolution": 1, "noise_std": 0, "cluster_std": 0, "long_std": 0}.items():
+        if config[key] is not None and not config[key] >= lo:
+            raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
+    if len(config["delimiter"]) != 1:
+        raise ValueError(f"delimiter must be one character, got {config['delimiter']!r}")
     bounds = config["grid_bounds"]
     values = [0.0] * 4 if bounds is None else [float(b) for b in bounds.split(",")]
     if len(values) != 4:
@@ -228,24 +230,37 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _reprs(values) -> list[str]:
-    """repr of each float of a 1-D array, from one orjson call. orjson prints the same
-    digits, but 0.00001, 1e16 and null where repr prints 1e-05, 1e+16 and nan, so the
-    nonzero |v| < 1e-4 or >= 1e16 and the nonfinite v are formatted again by repr."""
-    values = np.ascontiguousarray(values, dtype=float)
-    out = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+def _csv(values, gather=slice(None)) -> bytes:
+    """The repr of each float of values[gather], comma-separated, from one orjson call.
+
+    orjson prints repr's digits, but 0.00001, 1e16 and null where repr prints
+    1e-05, 1e+16 and nan. Those entries (nonzero |v| < 1e-4 or >= 1e16, and
+    nonfinite) are dumped as null and spliced in by repr, once per entry of values.
+    """
+    values = np.asarray(values, dtype=float).ravel()
     size = np.abs(values)
-    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0)).tolist():
-        out[i] = repr(float(values[i]))
-    return out if values.size else []
+    odd = ~((size >= 1e-4) & (size < 1e16)) & (values != 0)
+    texts = np.empty(values.size, dtype=object)
+    texts[odd] = [repr(v).encode() for v in values[odd].tolist()]
+    keys = np.arange(values.size)[gather]
+    texts = texts[keys[odd[keys]]]  # in output order
+    spliced = orjson.dumps(np.where(odd, np.nan, values)[keys],
+                           option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b"null", texts.size)
+    spliced[1:] = itertools.chain.from_iterable(zip(texts, spliced[1:]))
+    return b"".join(spliced)
+
+
+def _reprs(values) -> list[str]:
+    """repr of each float of an array, as _csv formats it."""
+    return _csv(values).decode().split(",") if np.size(values) else []
 
 
 def _write_snapshot(path: Path, model: SpcModel) -> None:
     """One row per structure: id, age, weight, mean, then the row-major spread.
 
-    Every spread is bitwise symmetric, signs of zero included, so only its
-    upper triangle is formatted and mirrored; a spread whose bytes equal an
-    earlier one (every unit singleton's identity) reuses its string.
+    Every spread is bitwise symmetric, signs of zero included, so its text is
+    dumped from the upper triangle; each distinct stored spread (all unit
+    singletons share one) is built and formatted once.
     """
     dim = model.dim
     columns = [str(j) for j in range(dim)]
@@ -254,17 +269,14 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
     rows, cols = np.triu_indices(dim)
     upper_index = np.empty((dim, dim), dtype=np.intp)
     upper_index[rows, cols] = upper_index[cols, rows] = np.arange(rows.size)
-    # at d = 1 itemgetter would return the bare string, not a 1-tuple
-    mirror = operator.itemgetter(*upper_index.ravel().tolist()) if dim > 1 else list
     spreads = {}
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for ident, s in zip(model.ids(), model.snapshot()):
-            key = s.sigma.tobytes()
-            if key not in spreads:
-                spreads[key] = "," + ",".join(mirror(_reprs(s.sigma[rows, cols]))) + "\n"
-            f.write(",".join([str(ident), str(s.age), repr(float(s.weight)), *_reprs(s.mu)]))
-            f.write(spreads[key])
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for ident, (mu, spread, weight, age) in zip(model.ids(), model.spreads()):
+            if id(spread) not in spreads:
+                upper = spread.dense()[rows, cols]
+                spreads[id(spread)] = b"," + _csv(upper, upper_index.ravel()) + b"\n"
+            f.writelines((f"{ident},{age},{weight!r},".encode(), _csv(mu), spreads[id(spread)]))
 
 
 def _write_assignments(path: Path, points, pred) -> None:
@@ -277,7 +289,7 @@ def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
         raise DimensionMismatch("decision grids need a 2-D model")
     bounds = config["grid_bounds"]
     if bounds is None:
-        mus = np.array([s.mu for s in model.snapshot()])
+        mus = np.array([mu for mu, *_ in model.spreads()])
         lo, hi = mus.min(axis=0), mus.max(axis=0)
         pad = 0.1 * np.maximum(hi - lo, 1.0)
         x0, x1, y0, y1 = lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]

@@ -232,6 +232,8 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if n_points % n_clusters != 0:
         raise ValueError("n_points must be divisible by n_clusters")
     per = n_points // n_clusters

@@ -155,26 +155,29 @@ class SpcModel:
         return self._ids[:self._n].tolist()
 
     def snapshot(self) -> list[Structure]:
-        """Normalized copies of all structures, ordered by identifier.
+        """Normalized copies of all structures, ordered by identifier: the
+        spreads() with each mean copied and each spread built by dense()."""
+        return [Structure(mu.copy(), spread.dense(), weight, age)
+                for mu, spread, weight, age in self.spreads()]
 
-        Every mean and spread is copied; a low-rank spread is built here.
+    def spreads(self) -> list[tuple[np.ndarray, fusion.Spread, float, int]]:
+        """(mean, spread, weight, age) of every structure, ordered by identifier.
+
+        A read-only copy of each mean, and the engine's own fusion.Spread,
+        neither copied nor built: all unit singletons share fusion.unit(dim),
+        and later updates replace spreads, never change them.
         """
-        return [
-            Structure(mu=self._mu[k].copy(), sigma=self._sigmas[k].dense(),
-                      weight=weight, age=int(self._age[k]))
-            for k, weight in enumerate(self._weights().tolist())
-        ]
+        mus = self._mu[:self._n].copy()
+        mus.setflags(write=False)
+        return list(zip(mus, self._sigmas, self._weights().tolist(), self._age[:self._n].tolist()))
 
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
 
-        A read-only copy of each mean. Of a dense spread the factor is the
-        engine's own read-only array, valid after later updates, which replace
-        spreads; a low-rank spread is built and factored by the call.
+        The means of spreads(). Of a dense spread the factor is the engine's
+        own read-only array; a low-rank spread is built and factored here.
         """
-        mus = self._mu[:self._n].copy()
-        mus.setflags(write=False)
-        return [(mu, spread.factor()) for mu, spread in zip(mus, self._sigmas)]
+        return [(mu, spread.factor()) for mu, spread, *_ in self.spreads()]
 
     def distances(self) -> np.ndarray:
         """Symmetric copy of the distance matrix in id order, zero diagonal.

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spclust.clustering import assign_with_distances
 from spclust.cli import main
 from spclust.datasets import SOURCES
 from spclust.engine import SpcParams
+from spclust.fusion import DenseSpread, LowRankSpread, unit
 
 
 def run_cli(*args):
@@ -26,6 +28,19 @@ _GRID_ERRORS = {
     ("--grid-bounds=0,1,-inf,1",): "grid_bounds must be finite, got '0,1,-inf,1'",
     ("--grid-bounds=1,0,0,1",): "grid_bounds need x0 <= x1 and y0 <= y1, got '1,0,0,1'",
     ("--grid-bounds=0,1,1,0",): "grid_bounds need x0 <= x1 and y0 <= y1, got '0,1,1,0'",
+}
+
+# other settings refused before any output, each with its own message
+_SETTING_ERRORS = {
+    ("--source", "gaussian-highdim", "--dim", "0"): "dim must be >= 1",
+    ("--source", "gaussian-highdim", "--dim", "-2"): "dim must be >= 1",
+    ("--source", "two-circles", "--delimiter", ""): "delimiter must be one character, got ''",
+    ("--source", "two-circles", "--delimiter", "ab"):
+        "delimiter must be one character, got 'ab'",
+    ("--source", "sine-waves", "--noise-std", "-1"): "noise_std must be >= 0, got -1.0",
+    ("--source", "gaussian-highdim", "--cluster-std", "-2"):
+        "cluster_std must be >= 0, got -2.0",
+    ("--source", "overlapping-triangle", "--long-std", "-1"): "long_std must be >= 0, got -1.0",
 }
 
 
@@ -70,6 +85,7 @@ class TestRun:
         ("--source", "two-circles", "--outputs", "metrics,snapshto"),
         ("--source", "two-circles", "--grid-bounds", "1,2,3"),
         *(("--source", "two-circles", *grid) for grid in _GRID_ERRORS),
+        *_SETTING_ERRORS,
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, flags):
         rc = run_cli("run", *flags, "--output-dir", tmp_path / "out")
@@ -83,6 +99,8 @@ class TestRun:
             assert "x0,x1,y0,y1" in err
         if flags[2:] in _GRID_ERRORS:
             assert err == f"error: {_GRID_ERRORS[flags[2:]]}\n"
+        if flags in _SETTING_ERRORS:
+            assert err == f"error: {_SETTING_ERRORS[flags]}\n"
 
     def test_csv_source_round_trip(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -346,6 +364,88 @@ class TestReprs:
         assert not column.flags.c_contiguous
         assert cli._reprs(column) == list(map(repr, column.tolist()))
         assert cli._reprs(matrix[1, ::2]) == list(map(repr, matrix[1, ::2].tolist()))
+
+
+# One draw of each notation class that orjson and repr write differently or
+# that sits at an edge: signed zeros, subnormals, [1e-5, 1e-4), below 1e-5
+# with one- and two-digit exponents, 1e16 and up, NaN and the infinities.
+_NOTATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-4, 1e16, 5e-324]),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(1e-9, 1e-5, exclude_max=True),
+    st.floats(1e-99, 1e-10),
+    st.floats(1e16, 1.7976931348623157e308),
+    st.floats(-1e3, 1e3),
+)
+_SIGNED = st.tuples(_NOTATIONS, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+def _symmetric(dim, upper):
+    rows, cols = np.triu_indices(dim)
+    sigma = np.empty((dim, dim))
+    sigma[rows, cols] = sigma[cols, rows] = upper
+    return sigma
+
+
+class TestSnapshotWriter:
+    """_write_snapshot formats each spread with one orjson call from its upper
+    triangle and gives repr's bytes."""
+
+    @staticmethod
+    def _row(tmp_path, mu, sigma):
+        model = SimpleNamespace(dim=mu.size, ids=lambda: [7],
+                                spreads=lambda: [(mu, DenseSpread(sigma, sigma), 0.25, 3)])
+        path = tmp_path / "snapshot.csv"
+        cli._write_snapshot(path, model)
+        header, row = path.read_text().splitlines()
+        assert len(header.split(",")) == len(row.split(",")) == 3 + mu.size * (mu.size + 1)
+        return row
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([1, 2, 5]).flatmap(lambda d: st.tuples(
+        st.lists(_SIGNED, min_size=d, max_size=d),
+        st.lists(_SIGNED, min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2))))
+    def test_spread_equals_repr(self, tmp_path_factory, drawn):
+        mu, upper = map(np.array, drawn)
+        sigma = _symmetric(mu.size, upper)
+        row = self._row(tmp_path_factory.mktemp("w"), mu, sigma)
+        expected = ",".join(map(repr, sigma.ravel().tolist()))
+        assert row == "7,3,0.25," + ",".join(map(repr, mu.tolist())) + "," + expected
+
+    def test_every_notation_in_one_spread(self, tmp_path):
+        upper = np.array([0.0, -0.0, 5e-324, -1e-310, 1.5e-5, -9.99e-5, 3e-7, -2.5e-9,
+                          1e-10, -7.25e-99, 1e16, -3.5e200, np.nan, np.inf, -np.inf])
+        sigma = _symmetric(5, upper)
+        mu = np.array([1e-4, -1e-5, 1e17, np.nan, 0.5])
+        row = self._row(tmp_path, mu, sigma)
+        assert row.split(",")[8:] == list(map(repr, sigma.ravel().tolist()))
+        assert row.split(",")[3:8] == list(map(repr, mu.tolist()))
+
+    def test_one_dense_build_per_distinct_spread(self, tmp_path, monkeypatch):
+        # four unit singletons, which share one stored spread, and four merged
+        # spreads of rank 17-19
+        args = ("--source", "gaussian-highdim", "--n", "8", "--n-clusters", "4",
+                "--dim", "64", "--n-points", "80", "--seed", "2", "--outputs", "snapshot")
+        built, models = [], []
+        real_dense, real_writer = LowRankSpread.dense, cli._write_snapshot
+
+        def dense(spread):
+            built.append(spread)
+            return real_dense(spread)
+
+        def writer(path, model):
+            models.append(model)
+            monkeypatch.setattr(LowRankSpread, "dense", dense)
+            real_writer(path, model)
+
+        monkeypatch.setattr(cli, "_write_snapshot", writer)
+        assert run_cli("run", *args, "--output-dir", tmp_path / "out") == 0
+        (model,) = models
+        stored = [spread for _, spread, _, _ in model.spreads()]
+        assert sum(spread is unit(64) for spread in stored) == 4
+        assert len({id(spread) for spread in stored}) == 5
+        assert sorted(map(id, built)) == sorted({id(spread) for spread in stored})
 
 
 # Reference writers: one repr per element, rows joined into one string.

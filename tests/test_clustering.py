@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from spclust import clustering, linalg
+from spclust import clustering, fusion, linalg
 from spclust.clustering import (
     assign_points,
     assign_with_distances,
@@ -330,6 +330,21 @@ class TestFactors:
             model.update(x + 5.0)
         for (mu, _), s in zip(factors, snapshot):
             assert np.array_equal(mu, s.mu)
+
+    @pytest.mark.parametrize("dim", [2, 40])
+    def test_spreads_are_the_stored_objects(self, dim):
+        rng = np.random.default_rng(5)
+        model = SpcModel(SpcParams(max_structures=6))
+        for x in np.vstack([rng.normal(size=(8, dim)), 30.0 + rng.normal(size=(4, dim))]):
+            model.update(x)
+        spreads, snapshot = model.spreads(), model.snapshot()
+        assert len(spreads) == len(snapshot) == len(model)
+        for (mu, spread, weight, age), again, s in zip(spreads, model.spreads(), snapshot):
+            assert again[1] is spread  # neither copied nor rebuilt
+            assert not mu.flags.writeable
+            assert np.array_equal(mu, s.mu) and np.array_equal(spread.dense(), s.sigma)
+            assert (weight, age) == (s.weight, s.age)
+            assert (spread is fusion.unit(dim)) == (age == 1)
 
     def test_unit_singleton_factor_is_identity(self):
         model = SpcModel(SpcParams(max_structures=3))

@@ -183,6 +183,11 @@ class TestGaussianHighDim:
         with pytest.raises(ValueError, match="n_clusters must be >= 1"):
             gen_gaussian_highdim(n_clusters=0, dim=8, n_points=64)
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_needs_a_dimension(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            gen_gaussian_highdim(n_clusters=2, dim=dim, n_points=8)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             gen_gaussian_highdim(n_clusters=3, dim=8, n_points=64)
