@@ -77,7 +77,7 @@ def main(argv=None) -> int:
         argv[i:i + 2] = ["--grid-bounds=" + argv[i + 1]]
     args = _build_parser().parse_args(argv)
     try:
-        config = _merge_config(args)
+        config = _checked(_merge_config(args))  # before any stream is built or output written
         if args.command in ("run", "grid"):
             _run_once(config, grid_only=args.command == "grid")
         else:
@@ -112,11 +112,15 @@ def _merge_config(args) -> dict:
     if args.config is not None:
         config.update(_load_config_file(args.config))
     config.update({k: getattr(args, k) for k in config if getattr(args, k) is not None})
-    # checked before the stream is built or an output written
+    return config
+
+
+def _checked(config: dict) -> dict:
     for name in config["outputs"].split(","):
         if name.strip() not in _OUTPUTS:
             raise ValueError(f"unknown output {name.strip()!r}, expected {','.join(_OUTPUTS)}")
-    for key, lo in {"grid_resolution": 1, "noise_std": 0, "cluster_std": 0, "long_std": 0}.items():
+    for key, lo in {"grid_resolution": 1, "n_per_class": 1, "n_points": 1,
+                    "noise_std": 0, "cluster_std": 0, "long_std": 0}.items():
         if config[key] is not None and not config[key] >= lo:
             raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
     if len(config["delimiter"]) != 1:
@@ -250,11 +254,6 @@ def _csv(values, gather=slice(None)) -> bytes:
     return b"".join(spliced)
 
 
-def _reprs(values) -> list[str]:
-    """repr of each float of an array, as _csv formats it."""
-    return _csv(values).decode().split(",") if np.size(values) else []
-
-
 def _write_snapshot(path: Path, model: SpcModel) -> None:
     """One row per structure: id, age, weight, mean, then the row-major spread.
 
@@ -299,12 +298,17 @@ def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
     xs, ys = np.linspace(x0, x1, res), np.linspace(y0, y1, res)
     # row k of the lattice is (xs[k % res], ys[k // res])
     pts = np.column_stack([np.tile(xs, res), np.repeat(ys, res)])
-    cluster_ids, structure_ids, dists = assign_with_distances(model, labels, pts)
-    cells = itertools.product(_reprs(ys), _reprs(xs))
-    with path.open("w") as f:
-        f.write("x,y,cluster,structure,distance\n")
-        f.writelines(f"{x},{y},{c},{s},{dist}\n" for (y, x), c, s, dist in
-                     zip(cells, cluster_ids.tolist(), structure_ids.tolist(), _reprs(dists)))
+    _, structure_ids, dists = assign_with_distances(model, labels, pts)
+    # a row is 4 tokens formatted once: "x," (kept), then "y,", "cluster,structure,", "distance\n"
+    names = np.array([f"{labels.labels[i]},{i},".encode() for i in model.ids()], dtype=object)
+    owner = names[np.searchsorted(model.ids(), structure_ids)].reshape(res, res).tolist()
+    dist = np.array((_csv(dists).replace(b",", b"\n,") + b"\n").split(b","), dtype=object)
+    row = [x + b"," for x in _csv(xs).split(b",") for _ in range(4)]
+    with path.open("wb") as f:
+        f.write(b"x,y,cluster,structure,distance\n")
+        for y, line, cells in zip(_csv(ys).split(b","), owner, dist.reshape(res, res).tolist()):
+            row[1::4], row[2::4], row[3::4] = [y + b","] * res, line, cells
+            f.write(b"".join(row))
 
 
 _SWEEP_METRICS = ("purity", "nmi", "n_structures", "n_clusters")
@@ -329,13 +333,14 @@ def _run_sweep(config: dict, sweep_specs) -> None:
             raise ValueError(f"cannot sweep {key!r}")
         sweeps[key] = [_SETTINGS[key][0](v.strip()) for v in values.split(",")]
 
+    runs = [dict(zip(sweeps, combo)) for combo in itertools.product(*sweeps.values())]
+    configs = [_checked({**config, **run}) for run in runs]  # all before any directory is made
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for combo in itertools.product(*sweeps.values()):
-        run = dict(zip(sweeps, combo))
+    for run, merged in zip(runs, configs):
         sub_dir = out_dir / ("sweep_" + "_".join(f"{k}={v}" for k, v in run.items()))
-        metrics = _run_once({**config, **run, "outputs": "metrics", "output_dir": str(sub_dir)})
+        metrics = _run_once({**merged, "outputs": "metrics", "output_dir": str(sub_dir)})
         rows.append({**run, **{k: metrics[k] for k in _SWEEP_METRICS}})
 
     header = list(sweeps) + list(_SWEEP_METRICS)

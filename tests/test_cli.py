@@ -1,18 +1,19 @@
 import json
+import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spclust import cli
-from spclust.clustering import assign_with_distances
+from spclust.clustering import assign_with_distances, get_clustering
 from spclust.cli import main
-from spclust.datasets import SOURCES
-from spclust.engine import SpcParams
+from spclust.datasets import SOURCES, StreamSpec, build_stream
+from spclust.engine import SpcModel, SpcParams
 from spclust.fusion import DenseSpread, LowRankSpread, unit
 
 
@@ -41,6 +42,8 @@ _SETTING_ERRORS = {
     ("--source", "gaussian-highdim", "--cluster-std", "-2"):
         "cluster_std must be >= 0, got -2.0",
     ("--source", "overlapping-triangle", "--long-std", "-1"): "long_std must be >= 0, got -1.0",
+    ("--source", "two-circles", "--n-per-class", "-1"): "n_per_class must be >= 1, got -1",
+    ("--source", "gaussian-highdim", "--n-points", "-5"): "n_points must be >= 1, got -5",
 }
 
 
@@ -254,6 +257,29 @@ class TestSweep:
         assert repr(spec.partition("=")[0]) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source, key, good, bad", [
+        ("sine-waves", "noise_std", "0.1", "-1"),
+        ("gaussian-highdim", "cluster_std", "0.5", "-2"),
+        ("overlapping-triangle", "long_std", "1.5", "-1"),
+        ("two-circles", "delimiter", ";", "ab"),
+        ("two-circles", "grid_resolution", "5", "0"),
+    ])
+    def test_value_out_of_range_fails_before_any_run(self, tmp_path, capsys, source, key,
+                                                     good, bad):
+        # the flag's own error line; the good value comes first, so a run made
+        # before the bad one is checked would leave its directory
+        sizes = ("--n-per-class", "20", "--n-clusters", "2", "--dim", "2", "--n-points", "20")
+        rc = run_cli("run", "--source", source, *sizes, "--" + key.replace("_", "-"), bad,
+                     "--output-dir", tmp_path / "r")
+        assert rc == 2
+        flag_err = capsys.readouterr().err
+        assert flag_err.startswith(f"error: {key} must be ")
+        rc = run_cli("sweep", "--source", source, *sizes, "--output-dir", tmp_path / "o",
+                     f"--sweep={key}={good},{bad}", "--sweep", "n=4,6")
+        assert rc == 2
+        assert capsys.readouterr().err == flag_err
+        assert not (tmp_path / "o").exists()
+
 
 # One non-default value per setting, of the setting's type. Only the
 # grid bounds hold commas, which a --sweep value list would split.
@@ -342,28 +368,33 @@ class TestSettingsTable:
         assert [type(v) for _, v in spec.params] == [type(v) for _, v in expected]
 
 
+def _reprs(values) -> list[str]:
+    """The entries of cli._csv(values), as text."""
+    return cli._csv(values).decode().split(",") if np.size(values) else []
+
+
 class TestReprs:
-    """cli._reprs formats a float array with orjson and gives repr's bytes."""
+    """cli._csv formats a float array with orjson and gives repr's bytes."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
     def test_equals_repr(self, values):
         # st.floats() draws NaN, both infinities, subnormals and -0.0
-        assert cli._reprs(values) == list(map(repr, values.tolist()))
+        assert _reprs(values) == list(map(repr, values.tolist()))
 
     def test_edges_of_orjson_notation(self):
         edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
                  np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, np.inf),
                  5e-324, 1.7976931348623157e308, 0.0, np.nan, np.inf, 1.5e-7, 1e-5]
         values = np.array(edges + [-v for v in edges])
-        assert cli._reprs(values) == list(map(repr, values.tolist()))
+        assert _reprs(values) == list(map(repr, values.tolist()))
 
     def test_non_contiguous_slice(self):
         matrix = np.linspace(-3e-5, 3e17, 24).reshape(4, 6)
         column = matrix[:, 1]
         assert not column.flags.c_contiguous
-        assert cli._reprs(column) == list(map(repr, column.tolist()))
-        assert cli._reprs(matrix[1, ::2]) == list(map(repr, matrix[1, ::2].tolist()))
+        assert _reprs(column) == list(map(repr, column.tolist()))
+        assert _reprs(matrix[1, ::2]) == list(map(repr, matrix[1, ::2].tolist()))
 
 
 # One draw of each notation class that orjson and repr write differently or
@@ -529,8 +560,21 @@ class TestWritersMatchReference:
         ("--source", "gaussian-highdim", "--n", "6", "--n-clusters", "3", "--dim", "4",
          "--n-points", "60", "--seed", "2", "--separation", "1e17", "--cluster-std", "1",
          "--outputs", "snapshot,assignments"),
+        # a lattice across zero: coordinates in [1e-5, 1e-4), below 1e-5 and 0.0
+        ("--source", "two-circles", "--n", "6", "--seed", "3", "--n-per-class", "40",
+         "--outputs", "grid", "--grid-resolution", "9", "--grid-bounds=-3e-5,5e-5,-2e-6,6e-6"),
+        # cells in a 0.02-wide box around structure 155's mean: distances below 1e-4
+        ("--source", "overlapping-triangle", "--n", "6", "--seed", "1", "--n-per-class", "40",
+         "--outputs", "snapshot,grid", "--grid-resolution", "5",
+         "--grid-bounds=9.94,9.96,-0.16,-0.14"),
+        ("--source", "two-circles", "--n", "6", "--seed", "3", "--n-per-class", "40",
+         "--outputs", "grid", "--grid-resolution", "1"),
+        ("--source", "sine-waves", "--n", "6", "--seed", "0", "--n-per-class", "20",
+         "--outputs", "grid", "--grid-resolution", "2", "--grid-bounds=-1,13,-3,20"),
     ], ids=["two-circles-default-lattice", "two-circles-grid-bounds", "highdim-4",
-            "highdim-33", "highdim-1", "highdim-64", "highdim-4-exponents"])
+            "highdim-33", "highdim-1", "highdim-64", "highdim-4-exponents",
+            "grid-across-zero", "grid-on-structure-mean", "grid-resolution-1",
+            "grid-resolution-2"])
     def test_outputs_byte_identical(self, tmp_path, monkeypatch, args):
         calls = {}
         for name, (writer, _) in _REFERENCES.items():
@@ -552,3 +596,43 @@ class TestWritersMatchReference:
         if "1e17" in args:
             snapshot = (out / "snapshot.csv").read_text()
             assert "e+" in snapshot and "e-" in snapshot
+        if "grid" in requested:
+            rows = [line.split(",") for line in (out / "grid.csv").read_text().splitlines()[1:]]
+            assert len(rows) == int(args[args.index("--grid-resolution") + 1]) ** 2
+        if "--grid-bounds=-3e-5,5e-5,-2e-6,6e-6" in args:
+            sizes = {abs(float(c)) for row in rows for c in row[:2]}
+            assert 0.0 in sizes and any(0.0 < v < 1e-5 for v in sizes)
+            assert any(1e-5 <= v < 1e-4 for v in sizes)
+        if "--grid-bounds=9.94,9.96,-0.16,-0.14" in args:
+            assert all(0.0 < float(row[4]) < 1e-4 for row in rows)
+            assert {row[3] for row in rows} == {"155"}
+
+
+class TestGridWriter:
+    """_write_grid joins each lattice line from tokens and gives the reference's bytes."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        stream = build_stream(StreamSpec(source="overlapping-triangle",
+                                         params=(("n_per_class", 40),), seed=1))
+        model = SpcModel(SpcParams(max_structures=6))
+        for p in stream:
+            model.update(p.x)
+        labels = get_clustering(model)
+        # ids with gaps (3, 80, 155, 228, 229, 233), each its own cluster: a
+        # token picked by list position instead of by id is wrong or out of range
+        assert model.ids() != list(range(len(model)))
+        assert labels.n_clusters == len(model)
+        return model, labels
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_SIGNED.filter(math.isfinite), min_size=4, max_size=4),
+           st.integers(1, 5))
+    def test_equals_reference(self, tmp_path_factory, fitted, bounds, res):
+        x0, x1, y0, y1 = sorted(bounds[:2]) + sorted(bounds[2:])
+        assume(math.isfinite(x1 - x0) and math.isfinite(y1 - y0))
+        config = {"grid_bounds": ",".join(map(repr, (x0, x1, y0, y1))), "grid_resolution": res}
+        out = tmp_path_factory.mktemp("g")
+        cli._write_grid(out / "grid.csv", *fitted, config)
+        _reference_grid(out / "reference.csv", *fitted, config)
+        assert (out / "grid.csv").read_bytes() == (out / "reference.csv").read_bytes()
