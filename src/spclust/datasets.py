@@ -187,6 +187,7 @@ def gen_sine_waves(n_per_class: int = 400, classes=SINE_CLASSES,
     return _stamp(vectors, labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing covariance is refused below
 def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTICES,
                              edge_covariances=None, seed: int = 0,
                              long_std: float = 2.0, axis_ratio: float = 10.0
@@ -204,14 +205,16 @@ def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTI
         raise ValueError("the triangle needs exactly 3 vertex means")
     if edge_covariances is None:
         edge_covariances = []
+        long_std = np.float64(long_std)  # ** as a float's (libm pow), but inf on overflow
         short_std = long_std / axis_ratio
         for i in range(3):
             a, b = means[(i + 1) % 3], means[(i + 2) % 3]
             axis = (b - a) / np.linalg.norm(b - a)
             perp = np.array([-axis[1], axis[0]])
-            edge_covariances.append(
-                long_std**2 * np.outer(axis, axis) + short_std**2 * np.outer(perp, perp)
-            )
+            edge_covariances.append(long_std**2 * np.outer(axis, axis)
+                                    + short_std**2 * np.outer(perp, perp))
+        if not np.isfinite(edge_covariances).all():
+            raise ValueError(f"edge covariances must be finite, got long_std={long_std}")
     rng = np.random.default_rng(seed)
     vectors = []
     for mean, cov in zip(means, edge_covariances):
@@ -225,8 +228,8 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
                          seed: int = 0) -> list[LabeledPoint]:
     """Equal-size spherical Gaussians in high dimension, shuffled arrival.
 
-    Cluster centers are redrawn until every pair is at least
-    separation * cluster_std * sqrt(dim) apart. The default cluster_std
+    Cluster centers are redrawn, at most 10,000 times, until every pair is
+    at least separation * cluster_std * sqrt(dim) apart. The default cluster_std
     keeps within-cluster squared distances of order one, the scale at
     which identity-spread structures see meaningful typicality.
     """
@@ -236,25 +239,26 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
         raise ValueError("dim must be >= 1")
     if n_points % n_clusters != 0:
         raise ValueError("n_points must be divisible by n_clusters")
+    if not 0.0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     per = n_points // n_clusters
     rng = np.random.default_rng(seed)
     floor = separation * cluster_std * math.sqrt(dim)
     scale = floor / math.sqrt(2.0 * dim) * 2.0
-    while True:
+    for _ in range(10_000):
         centers = scale * rng.standard_normal((n_clusters, dim))
-        if _min_pairwise(centers) >= floor:
+        sq = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        sq[np.diag_indices_from(sq)] = np.inf
+        if np.sqrt(sq.min()) >= floor:
             break
+    else:
+        raise ValueError(f"10,000 draws of n_clusters={n_clusters} centers in dim={dim} never "
+                         f"had every pair floor={floor} apart")
     # cluster by cluster, one draw: the same values as a draw per cluster
     labels = np.repeat(np.arange(n_clusters), per)
     vectors = centers[labels] + cluster_std * rng.standard_normal((n_points, dim))
     order = rng.permutation(n_points)
     return _stamp(vectors[order], labels[order])
-
-
-def _min_pairwise(centers: np.ndarray) -> float:
-    sq = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    sq[np.diag_indices_from(sq)] = np.inf
-    return float(np.sqrt(sq.min()))
 
 
 def gen_two_circles(n_per_class: int = 250, centers=((0.0, 0.0), (2.1, 0.0)),

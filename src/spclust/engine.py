@@ -20,17 +20,18 @@ union fails (fusion.merge, which also decides the form a spread is
 stored in). So every spread dominates the identity and has a Cholesky
 factor; a merge that raises does so before it changes anything.
 
-The store keeps N + 1 slots: stacked means, mean and weight accumulators,
-ages, weight ages and ids as arrays (weights are derived when read), a
-dense pairwise distance matrix, and per slot its spread (a
+The store keeps N + 1 slots, each structure one row of two tables: an
+int64 table of [id, age, weight age] and a float table of [weight
+accumulator | mean | mean accumulator] (weights are derived when read),
+plus a dense pairwise distance matrix and per slot its spread (a
 fusion.Spread). Slots stay in ascending-id order: new structures
-(singletons and merge results) take the next id and append, removals
-compact in one pass. numpy's first-minimum rule is the tie-break
-everywhere: the closest pair is the least (distance, smaller id, larger
-id); a pruned structure goes to the lowest id among equally typical
-targets; prune candidates run in (weight, id) order, each as one row
-against the whole store the previous one left, the candidates still
-pending (itself included) masked as infinitely far.
+(singletons and merge results) take the next id and append a row to each
+table, removals compact both tables in one pass. numpy's first-minimum
+rule is the tie-break everywhere: the closest pair is the least
+(distance, smaller id, larger id); a pruned structure goes to the lowest
+id among equally typical targets; prune candidates run in (weight, id)
+order, each as one row against the whole store the previous one left,
+the candidates still pending (itself included) masked as infinitely far.
 
 Each slot's distances to the earlier slots are computed once, when it
 is filled; a singleton's row also gives the new point's typicality in
@@ -133,20 +134,25 @@ class SpcModel:
         self.retired_age = 0
         self._next_id = 0
         self._n = 0
-        cap = params.max_structures + 1
-        self._ids = np.zeros(cap, dtype=np.int64)
-        self._weight_acc = np.zeros(cap)
-        self._age = np.zeros(cap, dtype=np.int64)
-        self._weight_age = np.zeros(cap, dtype=np.int64)
+        self._empty_store(0)
+
+    def _empty_store(self, dim: int) -> None:
+        """N + 1 empty slots for structures of dimension dim; made again when
+        the first point fixes dim."""
+        cap = self.params.max_structures + 1
+        # one row per slot in each table, and a view of each column
+        self._ints = np.zeros((cap, 3), dtype=np.int64)  # [id, age, weight age]
+        self._floats = np.zeros((cap, 1 + 2 * dim))  # [weight acc | mean | mean acc]
+        self._ids, self._age, self._weight_age = self._ints.T
+        self._weight_acc, self._mu, self._mean_acc = (
+            self._floats[:, 0], self._floats[:, 1:1 + dim], self._floats[:, 1 + dim:])
         # upper triangle only: the diagonal and lower triangle stay inf
         self._dist = np.full((cap, cap), math.inf)
         self._sigmas: list[fusion.Spread] = []  # per slot
-        # stacked means and mean accumulators, (N + 1, d) from the first point
-        self._mu = self._mean_acc = np.zeros((cap, 0))
-        # set with the first point for d <= 3: the factors in the closed-form
-        # kernel's layout, (d, d, 2, N + 1): [..., 0, k] is slot k's factor,
-        # [..., 1, :s] slot s's while its row is made
-        self._chol: np.ndarray | None = None
+        # up to d = 3, the factors in the closed-form kernel's layout, (d, d, 2,
+        # N + 1): [..., 0, k] is slot k's factor, [..., 1, :s] slot s's while its row is made
+        closed_form = 0 < dim <= linalg.CLOSED_FORM_MAX_DIM
+        self._chol = np.zeros((dim, dim, 2, cap)) if closed_form else None
 
     def __len__(self) -> int:
         return self._n
@@ -214,18 +220,14 @@ class SpcModel:
             raise ValueError("stream point must be finite")
         if self.dim is None:
             self.dim = x.shape[0]
-            cap = self.params.max_structures + 1
-            self._mu = np.zeros((cap, self.dim))
-            self._mean_acc = np.zeros((cap, self.dim))
-            if self.dim <= linalg.CLOSED_FORM_MAX_DIM:
-                self._chol = np.zeros((self.dim, self.dim, 2, cap))
+            self._empty_store(self.dim)
         elif x.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[0]}")
 
         self.clock += 1
         # the singleton's distance row already holds x's typicality in every
         # earlier structure
-        typicality = self._append(x, x, fusion.unit(self.dim), 1.0, 1, 1)
+        typicality = self._append(fusion.unit(self.dim), 1, 1, 1.0, x, x)
         if self._n <= self.params.max_structures:
             return
 
@@ -253,29 +255,25 @@ class SpcModel:
             raise UnknownIdentifier(f"no structure with identifier {ident}")
         return int(hits[0])
 
-    def _append(self, mean_acc, mu, sigma, weight_acc, age, weight_age) -> np.ndarray:
-        """Fill the next slot (no weight: _weights derives it) and its column
-        of distances to every earlier slot; returns the typicality of the new
-        mean in each earlier structure.
+    def _append(self, sigma, age, weight_age, weight_acc, mu, mean_acc) -> np.ndarray:
+        """Fill the next slot, one row of each table (no weight: _weights
+        derives it), and its column of distances to every earlier slot;
+        returns the typicality of the new mean in each earlier structure.
         """
         s = self._n
         self._sigmas.append(sigma)
-        self._mu[s] = mu
-        self._mean_acc[s] = mean_acc
+        self._ints[s] = self._next_id, age, weight_age
+        self._weight_acc[s], self._mu[s], self._mean_acc[s] = weight_acc, mu, mean_acc
         if self._chol is not None:
             self._chol[:, :, 0, s] = sigma.factor()
-        self._ids[s] = self._next_id
         self._next_id += 1
-        self._weight_acc[s] = weight_acc
-        self._age[s] = age
-        self._weight_age[s] = weight_age
         self._n = s + 1
         self._dist[s, :s + 1] = math.inf
         self._dist[:s, s], typicality = self._distance_row(s)
         return typicality
 
     def _drop(self, *slots: int) -> None:
-        """Remove slots, moving the kept ones down in one pass to keep id order."""
+        """Remove slots, moving the kept rows down in one pass to keep id order."""
         keep = list(range(self._n))
         for k in sorted(slots, reverse=True):
             del keep[k]
@@ -284,9 +282,8 @@ class SpcModel:
         n, lo = len(keep), min(slots)
         self._n = n
         keep = np.array(keep[lo:], dtype=np.intp)
-        for arr in (self._ids, self._weight_acc, self._age, self._weight_age,
-                    self._mu, self._mean_acc):
-            arr[lo:n] = arr[keep]
+        self._ints[lo:n] = self._ints[keep]
+        self._floats[lo:n] = self._floats[keep]
         if self._chol is not None:
             self._chol[..., lo:n] = self._chol.take(keep, -1)
         # rows, then columns: the kept block stays upper triangular
@@ -298,9 +295,9 @@ class SpcModel:
         typicality of slot s's mean in each of them.
 
         The distance is one minus the product of each mean's typicality in
-        the other structure, as in typicality.structure_distance. Up to
-        d = 3 one closed-form call takes both directions, the earlier
-        factors against delta and slot s's factor against -delta (exact).
+        the other structure, as in typicality.structure_distance. Both
+        directions read one delta, the earlier spreads against delta and slot
+        s's against -delta (exact); up to d = 3 one closed-form call takes both.
         """
         if self._chol is not None:
             chols = self._chol[..., :s]
@@ -308,9 +305,10 @@ class SpcModel:
             delta = self._mu[s] - self._mu[:s]
             dsq = linalg.solve_norm_sq(chols, delta.T[:, None] * _SIGNS)
         else:
-            new_in_old = self._dsq_at(self._mu[s], s)
-            old_in_new = fusion.norm_sq(self._sigmas[s], self._mu[:s] - self._mu[s])
-            dsq = np.stack((new_in_old, old_in_new))
+            deltas = self._mu[s] - self._mu[:s]
+            new_in_old = fusion.norm_sq_rows(self._sigmas[:s], deltas)
+            np.negative(deltas, out=deltas)  # -delta in place: no second (s, d) block
+            dsq = np.stack((new_in_old, fusion.norm_sq(self._sigmas[s], deltas)))
         u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
 
@@ -378,17 +376,15 @@ class SpcModel:
     def _merge(self, a: int, b: int) -> None:
         """Replace two slots with their fusion (older plays the lead role)."""
         older, younger = sorted((a, b), key=lambda k: (-self._age[k], self._ids[k]))
-        gamma = self.params.gamma
-        beta = self.params.beta
-        age_old, age_new = int(self._age[older]), int(self._age[younger])
-        wage_old, wage_new = int(self._weight_age[older]), int(self._weight_age[younger])
+        age_old, wage_old = self._ints[older, 1:].tolist()
+        age_new, wage_new = self._ints[younger, 1:].tolist()
+        w_old, w_new = float(self._weight_acc[older]), float(self._weight_acc[younger])
 
-        shift = math.exp(-gamma * age_new)
+        shift = math.exp(-self.params.gamma * age_new)
         mean_acc = shift * self._mean_acc[older] + self._mean_acc[younger]
-        weight_acc = (math.exp(-beta * wage_new) * float(self._weight_acc[older])
-                      + float(self._weight_acc[younger]))
+        weight_acc = math.exp(-self.params.beta * wage_new) * w_old + w_new
         age = age_old + age_new
-        norm_old, norm_new, g = decay_norms([age_old, age_new, age], gamma)
+        norm_old, norm_new, g = decay_norms([age_old, age_new, age], self.params.gamma)
         mu = mean_acc / g
         # raises before any state changes
         sigma, pooled = fusion.merge(self._sigmas[older], self._sigmas[younger],
@@ -398,5 +394,5 @@ class SpcModel:
         self.diagnostics.merges += 1
 
         self._drop(a, b)
-        self._append(mean_acc, mu, sigma, weight_acc, age, wage_old + wage_new)
+        self._append(sigma, age, wage_old + wage_new, weight_acc, mu, mean_acc)
 

@@ -44,6 +44,16 @@ _SETTING_ERRORS = {
     ("--source", "overlapping-triangle", "--long-std", "-1"): "long_std must be >= 0, got -1.0",
     ("--source", "two-circles", "--n-per-class", "-1"): "n_per_class must be >= 1, got -1",
     ("--source", "gaussian-highdim", "--n-points", "-5"): "n_points must be >= 1, got -5",
+    # centers redrawn a bounded number of times, a separation refused before any draw,
+    # and triangle covariances that overflow
+    ("--source", "gaussian-highdim", "--dim", "2"):
+        "10,000 draws of n_clusters=16 centers in dim=2 never had every pair "
+        "floor=0.28284271247461906 apart",
+    ("--source", "gaussian-highdim", "--dim", "1", "--n-clusters", "64", "--n-points", "64"):
+        "10,000 draws of n_clusters=64 centers in dim=1 never had every pair floor=0.2 apart",
+    ("--source", "gaussian-highdim", "--separation", "nan"): "separation must be >= 0, got nan",
+    ("--source", "overlapping-triangle", "--long-std", "1e308"):
+        "edge covariances must be finite, got long_std=1e+308",
 }
 
 
@@ -263,6 +273,7 @@ class TestSweep:
         ("overlapping-triangle", "long_std", "1.5", "-1"),
         ("two-circles", "delimiter", ";", "ab"),
         ("two-circles", "grid_resolution", "5", "0"),
+        ("gaussian-highdim", "separation", "8", "nan"),
     ])
     def test_value_out_of_range_fails_before_any_run(self, tmp_path, capsys, source, key,
                                                      good, bad):
@@ -278,6 +289,32 @@ class TestSweep:
                      f"--sweep={key}={good},{bad}", "--sweep", "n=4,6")
         assert rc == 2
         assert capsys.readouterr().err == flag_err
+        assert not (tmp_path / "o").exists()
+
+
+class TestGuardRaises:
+    """Each input guard of the runner, by its exact error line."""
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nsource=two-circles\nseed 3\n")
+        assert run_cli("run", "--config", cfg, "--output-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: expected key=value, got 'seed 3'\n"
+
+    def test_csv_source_without_path(self, tmp_path, capsys):
+        assert run_cli("run", "--source", "csv", "--output-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: csv source needs csv_path\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("n4,6", "bad sweep spec 'n4,6'"),
+        ("wibble=1,2", "unknown sweep key 'wibble'"),
+    ])
+    def test_bad_sweep_spec(self, tmp_path, capsys, spec, message):
+        rc = run_cli("sweep", "--source", "two-circles", "--output-dir", tmp_path / "o",
+                     f"--sweep={spec}")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 

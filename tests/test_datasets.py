@@ -79,6 +79,51 @@ class TestLoadCsv:
             load_csv(self.write(tmp_path, ""))
 
 
+class TestGuardRaises:
+    """Each input guard of the stream sources, by its exact message."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return path
+
+    def test_stream_spec_rejects_unknown_order(self):
+        with pytest.raises(ValueError) as err:
+            StreamSpec(source="two-circles", order="backwards")
+        assert str(err.value) == f"unknown order 'backwards', expected one of {ORDER_MODES}"
+
+    def test_header_only_file(self, tmp_path):
+        path = self.write(tmp_path, "x,y,cls\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path} contains only a header"
+
+    def test_ragged_row(self, tmp_path):
+        path = self.write(tmp_path, "1,2,a\n3,4,5,b\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: ragged row of width 4, expected 3 (row 1)"
+        assert err.value.row == 1
+
+    def test_column_name_without_header(self, tmp_path):
+        path = self.write(tmp_path, "1,2,0\n3,4,1\n")
+        with pytest.raises(MissingColumn) as err:
+            load_csv(path, label_column="cls")
+        assert str(err.value) == "column 'cls' addressed by name but file has no header"
+
+    @pytest.mark.parametrize("generate, kwargs, message", [
+        (gen_sine_waves, {"n_per_class": 0}, "n_per_class must be >= 1"),
+        (gen_overlapping_triangle, {"vertex_means": ((0.0, 0.0), (1.0, 0.0))},
+         "the triangle needs exactly 3 vertex means"),
+        (gen_two_circles, {"centers": ((0.0, 0.0),), "radii": (1.0,)},
+         "two centers and two radii required"),
+    ])
+    def test_generator_arguments(self, generate, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            generate(**kwargs)
+        assert str(err.value) == message
+
+
 class TestReorder:
     def make(self):
         vectors = [[float(i)] for i in range(6)]
@@ -191,6 +236,17 @@ class TestGaussianHighDim:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             gen_gaussian_highdim(n_clusters=3, dim=8, n_points=64)
+
+    @pytest.mark.parametrize("separation", [-1.0, math.inf, math.nan])
+    def test_separation_must_be_finite_and_nonnegative(self, separation):
+        with pytest.raises(ValueError) as err:
+            gen_gaussian_highdim(n_clusters=2, dim=2, n_points=8, separation=separation)
+        assert str(err.value) == f"separation must be finite and >= 0, got {separation}"
+
+    def test_center_draws_are_bounded(self):
+        # 16 centers on a line, each pair at least the floor apart: never drawn
+        with pytest.raises(ValueError, match="^10,000 draws of n_clusters=16 centers in dim=1 "):
+            gen_gaussian_highdim(n_clusters=16, dim=1, n_points=16)
 
     def test_center_separation_over_seeds(self):
         for seed in range(20):

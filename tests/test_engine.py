@@ -299,6 +299,28 @@ class TestPruning:
                     assert s.weight >= params.w_min
 
 
+class TestRowAlignment:
+    """Each structure's columns stay on one row through every append, prune and merge."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
+    def test_mean_is_its_accumulator_over_its_age_norm(self, dim, gamma):
+        deletions = prune_merges = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            pool = 3.0 * rng.standard_normal((6, dim))
+            model = SpcModel(SpcParams(max_structures=6, gamma=gamma, beta=0.3, w_min=0.3))
+            for k in rng.integers(0, 6, 120):
+                model.update(pool[k] + 0.1 * rng.standard_normal(dim))
+                n = len(model)
+                norms = np.array(decay_norms(model._age[:n].tolist(), gamma))
+                assert np.array_equal(model._mu[:n], model._mean_acc[:n] / norms[:, None])
+            deletions += model.diagnostics.deletions
+            prune_merges += model.diagnostics.prunes - model.diagnostics.deletions
+        # prune-heavy: both kinds of removal moved rows
+        assert deletions >= 50 and prune_merges >= 50
+
+
 class TestMergeStructures:
     def test_identical_structures_double_age(self):
         model = SpcModel(SpcParams(max_structures=4))
