@@ -123,6 +123,8 @@ def _checked(config: dict) -> dict:
                     "noise_std": 0, "cluster_std": 0, "long_std": 0, "separation": 0}.items():
         if config[key] is not None and not config[key] >= lo:
             raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
+        if config[key] == np.inf:
+            raise ValueError(f"{key} must be finite and >= {lo}, got inf")
     if len(config["delimiter"]) != 1:
         raise ValueError(f"delimiter must be one character, got {config['delimiter']!r}")
     bounds = config["grid_bounds"]
@@ -133,7 +135,13 @@ def _checked(config: dict) -> dict:
         raise ValueError(f"grid_bounds must be finite, got {bounds!r}")
     if values[0] > values[1] or values[2] > values[3]:
         raise ValueError(f"grid_bounds need x0 <= x1 and y0 <= y1, got {bounds!r}")
+    _params(config)
     return config
+
+
+def _params(config: dict) -> SpcParams:
+    """The engine settings of config; SpcParams refuses a bad value."""
+    return SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
 
 
 def _load_config_file(path: Path) -> dict:
@@ -188,8 +196,7 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
     if not points:
         raise ValueError("empty stream: nothing to cluster")
 
-    params = SpcParams(**{f.name: config[_config_key(f.name)] for f in fields(SpcParams)})
-    model = SpcModel(params)
+    model = SpcModel(_params(config))
     for p in points:
         model.update(p.x)
 
@@ -206,7 +213,7 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
         "n_clusters": labels.n_clusters,
         "diagnostics": model.diagnostics.as_dict(),
         "retired_age": model.retired_age,
-        "params": {_config_key(k): v for k, v in asdict(params).items()},
+        "params": {_config_key(k): v for k, v in asdict(model.params).items()},
         "stream": {k: config[k] for k in ("source", "order", "seed", "csv_path")
                    if config[k] is not None},
     }

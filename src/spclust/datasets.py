@@ -223,6 +223,7 @@ def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTI
     return _stamp(vectors, np.repeat(np.arange(3), n_per_class))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing point is refused below
 def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 1024,
                          separation: float = 10.0, cluster_std: float = 0.02,
                          seed: int = 0) -> list[LabeledPoint]:
@@ -257,6 +258,8 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
     # cluster by cluster, one draw: the same values as a draw per cluster
     labels = np.repeat(np.arange(n_clusters), per)
     vectors = centers[labels] + cluster_std * rng.standard_normal((n_points, dim))
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"points must be finite, got cluster_std={cluster_std!r}")
     order = rng.permutation(n_points)
     return _stamp(vectors[order], labels[order])
 

@@ -70,11 +70,8 @@ def covariance_union(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     # padded spread, or one indefinite by less than the jitter) is whitened
     # against the jittered factor, so the union dominates u2 plus the
     # jitter; a u2 that does not factor even so raises.
-    try:
-        chol_old = linalg.cholesky(u2, jitter=False)
-    except NotPositiveDefinite:
-        chol_old = linalg.cholesky(u2)
-    else:
+    m, chol_old = linalg.cholesky(u2)
+    if m is u2:
         if linalg.is_pd(u2 - u1):
             return u2.copy()
         if linalg.is_pd(u1 - u2):
@@ -126,7 +123,7 @@ class LowRankSpread(NamedTuple):
 
     def factor(self) -> np.ndarray:
         """A new read-only lower Cholesky factor of dense()."""
-        chol = linalg.cholesky(self.dense())
+        chol = linalg.cholesky(self.dense())[1]
         chol.setflags(write=False)
         return chol
 
@@ -207,7 +204,7 @@ def merge(old: Spread, new: Spread, mu_old: np.ndarray, mu_new: np.ndarray,
     if pooled:
         sigma = (shift * (old.sigma * n_old) + new.sigma * n_new) / g
     # keeps the spread it factors, jittered or not
-    sigma, chol = linalg.factored(sigma)
+    sigma, chol = linalg.cholesky(sigma)
     chol.setflags(write=False)
     return DenseSpread(sigma, chol), pooled
 

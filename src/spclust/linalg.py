@@ -2,7 +2,9 @@
 
 All routines work on plain ``numpy`` arrays. Covariance-like inputs are
 expected to be symmetric; LAPACK only reads one triangle, so slight
-asymmetry from accumulated rounding is tolerated. Explicit matrix
+asymmetry from accumulated rounding is tolerated. cholesky is the one
+factorization: it returns the matrix it factored, the input itself or,
+when that is not positive-definite, the input plus a jitter. Explicit matrix
 inversion is never performed: a quadratic form goes through a triangular
 solve, or for a spread of the form I + B diag(lam - 1) B' with orthonormal
 B through its closed-form inverse (low_rank_norm_sq).
@@ -30,34 +32,18 @@ REG_FLOOR = 1e-30
 CLOSED_FORM_MAX_DIM = 3
 
 
-def cholesky(a: np.ndarray, jitter: bool = True) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == a.
-
-    Tries the factorization as-is first, so positive-definite inputs are
-    reproduced exactly. If that fails, retries once with a small
-    trace-scaled diagonal jitter (near-singular structure covariances,
-    e.g. from merges of identical points), unless jitter is False;
-    factored() also returns the matrix factored. Raises
-    NotPositiveDefinite if no factorization succeeds.
-    """
-    return factored(a, jitter)[1]
-
-
-def factored(a: np.ndarray, jitter: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(m, L) with L @ L.T == m: m is a, or a plus the jitter when a alone does not factor."""
+def cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, L) with L @ L.T == m: m is a itself when a factors as given, else
+    a plus the diagonal jitter. Raises NotPositiveDefinite if neither factors."""
     a = _finite(a)
     chol = _potrf(a)
-    if chol is not None:
-        return a, chol
-    dim = a.shape[0]
-    if jitter:
+    if chol is None:
+        dim = a.shape[0]
         a = _finite(a + REG_LAMBDA * (np.trace(a) / dim + REG_FLOOR) * np.eye(dim))
         chol = _potrf(a)
-    if chol is None:
-        raise NotPositiveDefinite(
-            f"matrix of dim {dim} is not positive-definite"
-            + (" after regularization" if jitter else "")
-        )
+        if chol is None:
+            raise NotPositiveDefinite(
+                f"matrix of dim {dim} is not positive-definite after regularization")
     return a, chol
 
 
@@ -190,7 +176,7 @@ def mahalanobis_sq(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape[0] != delta.shape[0]:
         raise DimensionMismatch(f"incompatible shapes {sigma.shape} and {delta.shape}")
-    return solve_norm_sq(cholesky(sigma), delta)
+    return solve_norm_sq(cholesky(sigma)[1], delta)
 
 
 def _finite(a) -> np.ndarray:

@@ -55,7 +55,7 @@ def batch_footprint(points, m: float, gamma: float = 0.0, beta: float = 0.0) -> 
     if zero_rows.all():
         d_sq = np.zeros(n)
     else:
-        d_sq = linalg.solve_norm_sq_many(linalg.cholesky(sigma), deltas)
+        d_sq = linalg.solve_norm_sq_many(linalg.cholesky(sigma)[1], deltas)
         d_sq[zero_rows] = 0.0
     u = _typicality_of_dsq(d_sq, m)
     w_weights = np.exp(-beta * np.arange(n - 1, -1, -1, dtype=float))

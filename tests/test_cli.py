@@ -54,6 +54,20 @@ _SETTING_ERRORS = {
     ("--source", "gaussian-highdim", "--separation", "nan"): "separation must be >= 0, got nan",
     ("--source", "overlapping-triangle", "--long-std", "1e308"):
         "edge covariances must be finite, got long_std=1e+308",
+    # infinite scales, refused by the flag before the stream is built
+    ("--source", "gaussian-highdim", "--separation", "inf"):
+        "separation must be finite and >= 0, got inf",
+    ("--source", "sine-waves", "--noise-std", "inf"): "noise_std must be finite and >= 0, got inf",
+    ("--source", "gaussian-highdim", "--cluster-std", "inf"):
+        "cluster_std must be finite and >= 0, got inf",
+    ("--source", "overlapping-triangle", "--long-std", "inf"):
+        "long_std must be finite and >= 0, got inf",
+    # gaussian scales that overflow, with no RuntimeWarning (an error in this
+    # suite) before the line: the centers' squared distances, the points
+    ("--source", "gaussian-highdim", "--separation", "1e308", "--dim", "4", "--n-points", "64"):
+        "array must not contain infs or NaNs",
+    ("--source", "gaussian-highdim", "--cluster-std", "1e308", "--n-clusters", "2", "--dim", "2",
+     "--n-points", "20"): "points must be finite, got cluster_std=1e+308",
 }
 
 
@@ -274,6 +288,10 @@ class TestSweep:
         ("two-circles", "delimiter", ";", "ab"),
         ("two-circles", "grid_resolution", "5", "0"),
         ("gaussian-highdim", "separation", "8", "nan"),
+        ("gaussian-highdim", "separation", "8", "inf"),
+        ("sine-waves", "noise_std", "0.1", "inf"),
+        ("gaussian-highdim", "cluster_std", "0.5", "inf"),
+        ("overlapping-triangle", "long_std", "1.5", "inf"),
     ])
     def test_value_out_of_range_fails_before_any_run(self, tmp_path, capsys, source, key,
                                                      good, bad):
@@ -289,6 +307,22 @@ class TestSweep:
                      f"--sweep={key}={good},{bad}", "--sweep", "n=4,6")
         assert rc == 2
         assert capsys.readouterr().err == flag_err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, good, bad", [("m", "1.5", "0.5"), ("n", "5", "1"),
+                                                ("epsilon", "0.5", "1.5")])
+    def test_engine_value_fails_before_any_run(self, tmp_path, capsys, key, good, bad):
+        # SpcParams refuses the bad value of the second combination before
+        # the first one runs, with the single run's error line
+        rc = run_cli("run", "--source", "two-circles", "--n-per-class", "20", f"--{key}", bad,
+                     "--output-dir", tmp_path / "r")
+        assert rc == 2
+        run_err = capsys.readouterr().err
+        assert run_err.startswith("error: ") and run_err.count("\n") == 1
+        rc = run_cli("sweep", "--source", "two-circles", "--n-per-class", "20",
+                     "--output-dir", tmp_path / "o", f"--sweep={key}={good},{bad}")
+        assert rc == 2
+        assert capsys.readouterr().err == run_err
         assert not (tmp_path / "o").exists()
 
 

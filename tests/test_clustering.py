@@ -487,14 +487,14 @@ class TestAssignKernel:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_bitwise_decision_distance_up_to_three_dims(self, dim, monkeypatch):
         jittered = []
-        factored = linalg.factored
+        cholesky = linalg.cholesky
 
-        def recording_factored(a, jitter=True):
-            got = factored(a, jitter)
+        def recording_cholesky(a):
+            got = cholesky(a)
             jittered.append(got[0] is not a)
             return got
 
-        monkeypatch.setattr(linalg, "factored", recording_factored)
+        monkeypatch.setattr(linalg, "cholesky", recording_cholesky)
         rng = np.random.default_rng(40 + dim)
         if dim == 2:  # collinear at scale 1e16: its merges need the jitter
             scale = 1e16

@@ -120,6 +120,74 @@ class TestCovarianceUnion:
                 covariance_union(a, b)
 
 
+def two_step_union(u1, u2):
+    """covariance_union factoring u2 in two steps: a plain dpotrf, the
+    dominance shortcuts when it succeeds, and linalg.cholesky (which tries
+    the plain factor again before the jittered one) when it fails."""
+    chol = linalg._potrf(u2)
+    if chol is None:
+        chol = linalg.cholesky(u2)[1]
+    else:
+        if linalg.is_pd(u2 - u1):
+            return u2.copy()
+        if linalg.is_pd(u1 - u2):
+            return u1.copy()
+    half = linalg.solve_triangular(chol, u1)
+    whitened = linalg.solve_triangular(chol, half.T)
+    whitened = 0.5 * (whitened + whitened.T)
+    q, lam = linalg.sym_eigen(whitened)
+    transform = chol @ q
+    fused = (transform * np.maximum(lam, 1.0)) @ transform.T
+    return 0.5 * (fused + fused.T)
+
+
+class TestJitteredUnion:
+    """covariance_union factors u2 once: the jittered factor when u2 alone
+    does not factor, with the bits of the two-step factorization."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_matches_the_two_step_factorization(self, dim, monkeypatch):
+        # the padded pairs of hostile d = 3 and 4 streams, some near-singular
+        pairs = []
+        union = fusion.covariance_union
+
+        def recording_union(u1, u2):
+            pairs.append((np.array(u1), np.array(u2)))
+            return union(u1, u2)
+
+        monkeypatch.setattr(fusion, "covariance_union", recording_union)
+        rng = np.random.default_rng(dim)
+        for scale in (1e8, 1e12, 1e16):
+            duplicates = scale * rng.standard_normal((6, dim))[rng.integers(0, 6, 40)]
+            collinear = scale * rng.standard_normal(40)[:, None] * rng.standard_normal(dim)
+            for xs in (duplicates, collinear):
+                model = SpcModel(SpcParams(max_structures=5, gamma=0.1, beta=0.1))
+                for x in xs:
+                    model.update(x)
+
+        potrf, calls = linalg._potrf, []
+
+        def counting_potrf(a):
+            calls.append(a)
+            return potrf(a)
+
+        monkeypatch.setattr(linalg, "_potrf", counting_potrf)
+        jittered = 0
+        for u1, u2 in pairs:
+            calls.clear()
+            want = two_step_union(u1, u2)
+            two_step = len(calls)
+            calls.clear()
+            got = covariance_union(u1, u2)
+            assert got.tobytes() == want.tobytes()
+            if potrf(u2) is None:
+                jittered += 1
+                assert (len(calls), two_step) == (2, 3)
+            else:
+                assert len(calls) == two_step
+        assert 0 < jittered < len(pairs)
+
+
 def dense_fuse(mu_old, sigma_old, mu_new, sigma_new, mu):
     """The oracle of fuse: covariance_union of the same padded pair."""
     return covariance_union(pad_covariance(sigma_new, mu_new, mu),
@@ -199,7 +267,7 @@ class TestUnion2x2:
             mine = fusion._chol_2x2(a[0, 0], a[1, 0], a[1, 1])
             assert (mine is not None) == linalg.is_pd(a)
             if mine is not None:
-                chol = linalg.cholesky(a, jitter=False)
+                chol = linalg.cholesky(a)[1]
                 assert mine == (chol[0, 0], chol[1, 0], chol[1, 1])
 
     def test_no_lapack_call(self, monkeypatch):
@@ -367,7 +435,7 @@ class TestFuse:
         model.update([0.0, 0.0])
         model.update([0.0, 0.0])
         # the stored spread of the older structure
-        model._sigmas[0] = fusion.DenseSpread(good, linalg.cholesky(good))
+        model._sigmas[0] = fusion.DenseSpread(good, linalg.cholesky(good)[1])
         model.merge_structures(0, 1)
         assert model.diagnostics.cu_fallbacks == 1
         assert model.diagnostics.merges == 1

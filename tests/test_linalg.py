@@ -6,6 +6,8 @@ import scipy.linalg as sla
 
 from spclust.errors import DimensionMismatch, NotPositiveDefinite
 from spclust.linalg import (
+    REG_FLOOR,
+    REG_LAMBDA,
     cholesky,
     is_pd,
     mahalanobis_sq,
@@ -29,11 +31,11 @@ def random_symmetric(rng, dim):
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(3)), np.eye(3))
+        assert np.array_equal(cholesky(np.eye(3))[1], np.eye(3))
 
     def test_hand_factorization(self):
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        l = cholesky(a)
+        l = cholesky(a)[1]
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         assert np.allclose(l, expected)
         assert np.allclose(l @ l.T, a)
@@ -45,7 +47,7 @@ class TestCholesky:
     def test_lower_triangular_positive_diagonal(self):
         rng = np.random.default_rng(3)
         a = random_spd(rng, 5)
-        l = cholesky(a)
+        l = cholesky(a)[1]
         assert np.allclose(l, np.tril(l))
         assert (np.diag(l) > 0).all()
 
@@ -54,14 +56,24 @@ class TestCholesky:
         for _ in range(200):
             dim = rng.integers(1, 9)
             a = random_spd(rng, dim)
-            l = cholesky(a)
+            l = cholesky(a)[1]
             err = np.linalg.norm(l @ l.T - a) / np.linalg.norm(a)
             assert err < 1e-10
 
     def test_zero_matrix_regularized(self):
         # all-zero trace falls back to the absolute jitter floor
-        l = cholesky(np.zeros((2, 2)))
+        l = cholesky(np.zeros((2, 2)))[1]
         assert (np.diag(l) > 0).all()
+
+    def test_returns_the_matrix_it_factored(self):
+        # the input itself when it factors as given, else the jittered copy
+        a = random_spd(np.random.default_rng(4), 3)
+        assert cholesky(a)[0] is a
+        zero = np.zeros((2, 2))
+        m, l = cholesky(zero)
+        assert np.array_equal(m, REG_LAMBDA * REG_FLOOR * np.eye(2))
+        assert not zero.any()
+        assert np.allclose(l @ l.T, m, rtol=1e-12, atol=0.0)
 
 
 class TestSymEigen:
@@ -152,7 +164,7 @@ class TestSolveNormSq:
         rng = np.random.default_rng(17)
         for dim in (1, 2, 3, 4, 6):
             sigma = random_spd(rng, dim)
-            l = cholesky(sigma)
+            l = cholesky(sigma)[1]
             delta = rng.standard_normal(dim)
             y = np.linalg.solve(l, delta)
             assert solve_norm_sq(l, delta) == pytest.approx(float(y @ y), rel=1e-12)
@@ -162,7 +174,7 @@ class TestSolveNormSq:
 
         rng = np.random.default_rng(19)
         for dim in (2, 5):
-            l = cholesky(random_spd(rng, dim))
+            l = cholesky(random_spd(rng, dim))[1]
             deltas = rng.standard_normal((12, dim))
             batched = solve_norm_sq_many(l, deltas)
             for k in range(12):
@@ -172,7 +184,7 @@ class TestSolveNormSq:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stacked_matches_separate_calls_bitwise(self, dim):
         rng = np.random.default_rng(23 + dim)
-        chols = [cholesky(random_spd(rng, dim)) for _ in range(20)]
+        chols = [cholesky(random_spd(rng, dim))[1] for _ in range(20)]
         chols[3] = np.eye(dim)
         deltas = rng.standard_normal((20, dim))
         deltas[5] = 0.0
@@ -190,7 +202,7 @@ class TestDirectLapack:
         for dim in (1, 2, 3, 5, 40, 64):
             for _ in range(3):
                 a = random_spd(rng, dim)
-                chol = cholesky(a)
+                chol = cholesky(a)[1]
                 assert np.array_equal(chol, sla.cholesky(a, lower=True))
                 b = rng.standard_normal((dim, 3))
                 for factor in (chol, np.ascontiguousarray(chol)):
