@@ -242,6 +242,8 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
         raise ValueError("n_points must be divisible by n_clusters")
     if not 0.0 <= separation < math.inf:
         raise ValueError(f"separation must be finite and >= 0, got {separation}")
+    if not 0.0 <= cluster_std < math.inf:
+        raise ValueError(f"cluster_std must be finite and >= 0, got {cluster_std}")
     per = n_points // n_clusters
     rng = np.random.default_rng(seed)
     floor = separation * cluster_std * math.sqrt(dim)
@@ -249,6 +251,9 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
     for _ in range(10_000):
         centers = scale * rng.standard_normal((n_clusters, dim))
         sq = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        if math.isfinite(scale) and np.isinf(sq).any():  # an infinite scale is refused below
+            raise ValueError(f"squared center offsets must be finite, got separation={separation!r}"
+                             f" and cluster_std={cluster_std!r}")
         sq[np.diag_indices_from(sq)] = np.inf
         if np.sqrt(sq.min()) >= floor:
             break

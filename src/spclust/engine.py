@@ -26,7 +26,7 @@ accumulator | mean | mean accumulator] (weights are derived when read),
 plus a dense pairwise distance matrix and per slot its spread (a
 fusion.Spread). Slots stay in ascending-id order: new structures
 (singletons and merge results) take the next id and append a row to each
-table, removals compact both tables in one pass. numpy's first-minimum
+table; removals shift the later rows down in place. numpy's first-minimum
 rule is the tie-break everywhere: the closest pair is the least
 (distance, smaller id, larger id); a pruned structure goes to the lowest
 id among equally typical targets; prune candidates run in (weight, id)
@@ -146,7 +146,7 @@ class SpcModel:
         self._ids, self._age, self._weight_age = self._ints.T
         self._weight_acc, self._mu, self._mean_acc = (
             self._floats[:, 0], self._floats[:, 1:1 + dim], self._floats[:, 1 + dim:])
-        # upper triangle only: the diagonal and lower triangle stay inf
+        # upper triangle only: on and below the diagonal stays inf through _drop's shifts
         self._dist = np.full((cap, cap), math.inf)
         self._sigmas: list[fusion.Spread] = []  # per slot
         # up to d = 3, the factors in the closed-form kernel's layout, (d, d, 2,
@@ -268,27 +268,21 @@ class SpcModel:
             self._chol[:, :, 0, s] = sigma.factor()
         self._next_id += 1
         self._n = s + 1
-        self._dist[s, :s + 1] = math.inf
         self._dist[:s, s], typicality = self._distance_row(s)
         return typicality
 
     def _drop(self, *slots: int) -> None:
-        """Remove slots, moving the kept rows down in one pass to keep id order."""
-        keep = list(range(self._n))
+        """Remove slots, highest first, shifting each later row down one in place."""
         for k in sorted(slots, reverse=True):
-            del keep[k]
+            n = self._n = self._n - 1
             del self._sigmas[k]
-        # slots below the first dropped one stay where they are
-        n, lo = len(keep), min(slots)
-        self._n = n
-        keep = np.array(keep[lo:], dtype=np.intp)
-        self._ints[lo:n] = self._ints[keep]
-        self._floats[lo:n] = self._floats[keep]
-        if self._chol is not None:
-            self._chol[..., lo:n] = self._chol.take(keep, -1)
-        # rows, then columns: the kept block stays upper triangular
-        self._dist[lo:n] = self._dist.take(keep, 0)
-        self._dist[:n, lo:n] = self._dist[:n].take(keep, 1)
+            self._ints[k:n] = self._ints[k + 1:n + 1]
+            self._floats[k:n] = self._floats[k + 1:n + 1]
+            if self._chol is not None:  # the live half: _distance_row refills [..., 1, :]
+                self._chol[:, :, 0, k:n] = self._chol[:, :, 0, k + 1:n + 1]
+            # rows, then columns: on or below the diagonal, inf only receives inf
+            self._dist[k:n] = self._dist[k + 1:n + 1]
+            self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
 
     def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Structure distance of slot s to each earlier slot, and the

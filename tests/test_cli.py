@@ -44,6 +44,7 @@ _SETTING_ERRORS = {
     ("--source", "overlapping-triangle", "--long-std", "-1"): "long_std must be >= 0, got -1.0",
     ("--source", "two-circles", "--n-per-class", "-1"): "n_per_class must be >= 1, got -1",
     ("--source", "gaussian-highdim", "--n-points", "-5"): "n_points must be >= 1, got -5",
+    ("--source", "two-circles", "--n-per-class", "20", "--n", "1"): "n must be >= 2, got 1",
     # centers redrawn a bounded number of times, a separation refused before any draw,
     # and triangle covariances that overflow
     ("--source", "gaussian-highdim", "--dim", "2"):
@@ -65,7 +66,7 @@ _SETTING_ERRORS = {
     # gaussian scales that overflow, with no RuntimeWarning (an error in this
     # suite) before the line: the centers' squared distances, the points
     ("--source", "gaussian-highdim", "--separation", "1e308", "--dim", "4", "--n-points", "64"):
-        "array must not contain infs or NaNs",
+        "squared center offsets must be finite, got separation=1e+308 and cluster_std=0.02",
     ("--source", "gaussian-highdim", "--cluster-std", "1e308", "--n-clusters", "2", "--dim", "2",
      "--n-points", "20"): "points must be finite, got cluster_std=1e+308",
 }
@@ -292,6 +293,7 @@ class TestSweep:
         ("sine-waves", "noise_std", "0.1", "inf"),
         ("gaussian-highdim", "cluster_std", "0.5", "inf"),
         ("overlapping-triangle", "long_std", "1.5", "inf"),
+        ("two-circles", "n", "5", "1"),
     ])
     def test_value_out_of_range_fails_before_any_run(self, tmp_path, capsys, source, key,
                                                      good, bad):
@@ -304,7 +306,7 @@ class TestSweep:
         flag_err = capsys.readouterr().err
         assert flag_err.startswith(f"error: {key} must be ")
         rc = run_cli("sweep", "--source", source, *sizes, "--output-dir", tmp_path / "o",
-                     f"--sweep={key}={good},{bad}", "--sweep", "n=4,6")
+                     f"--sweep={key}={good},{bad}", "--sweep", "seed=1,2")
         assert rc == 2
         assert capsys.readouterr().err == flag_err
         assert not (tmp_path / "o").exists()

@@ -243,6 +243,14 @@ class TestGaussianHighDim:
             gen_gaussian_highdim(n_clusters=2, dim=2, n_points=8, separation=separation)
         assert str(err.value) == f"separation must be finite and >= 0, got {separation}"
 
+    @pytest.mark.parametrize("cluster_std, separation", [(math.nan, 10.0), (math.inf, 0.0),
+                                                         (-1.0, 10.0)])
+    def test_cluster_std_is_checked_before_any_draw(self, cluster_std, separation):
+        with pytest.raises(ValueError) as err:
+            gen_gaussian_highdim(n_clusters=2, dim=2, n_points=20, cluster_std=cluster_std,
+                                 separation=separation)
+        assert str(err.value) == f"cluster_std must be finite and >= 0, got {cluster_std}"
+
     def test_center_draws_are_bounded(self):
         # 16 centers on a line, each pair at least the floor apart: never drawn
         with pytest.raises(ValueError, match="^10,000 draws of n_clusters=16 centers in dim=1 "):

@@ -11,6 +11,7 @@ from spclust.clustering import (
     assign_with_distances,
     get_clustering,
     labels_from_distances,
+    pairwise_structure_distances,
 )
 from spclust.datasets import gen_gaussian_highdim
 from spclust.engine import SpcModel, SpcParams, decay_norms
@@ -299,6 +300,18 @@ class TestPruning:
                     assert s.weight >= params.w_min
 
 
+def prune_heavy_updates(dim, gamma):
+    """Three seeded streams of 120 points around 6 centers under a budget of
+    6; yields the model after every update."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        pool = 3.0 * rng.standard_normal((6, dim))
+        model = SpcModel(SpcParams(max_structures=6, gamma=gamma, beta=0.3, w_min=0.3))
+        for k in rng.integers(0, 6, 120):
+            model.update(pool[k] + 0.1 * rng.standard_normal(dim))
+            yield model
+
+
 class TestRowAlignment:
     """Each structure's columns stay on one row through every append, prune and merge."""
 
@@ -306,19 +319,33 @@ class TestRowAlignment:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
     def test_mean_is_its_accumulator_over_its_age_norm(self, dim, gamma):
         deletions = prune_merges = 0
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            pool = 3.0 * rng.standard_normal((6, dim))
-            model = SpcModel(SpcParams(max_structures=6, gamma=gamma, beta=0.3, w_min=0.3))
-            for k in rng.integers(0, 6, 120):
-                model.update(pool[k] + 0.1 * rng.standard_normal(dim))
-                n = len(model)
-                norms = np.array(decay_norms(model._age[:n].tolist(), gamma))
-                assert np.array_equal(model._mu[:n], model._mean_acc[:n] / norms[:, None])
-            deletions += model.diagnostics.deletions
-            prune_merges += model.diagnostics.prunes - model.diagnostics.deletions
+        for model in prune_heavy_updates(dim, gamma):
+            n = len(model)
+            norms = np.array(decay_norms(model._age[:n].tolist(), gamma))
+            assert np.array_equal(model._mu[:n], model._mean_acc[:n] / norms[:, None])
+            if model.clock == 120:
+                deletions += model.diagnostics.deletions
+                prune_merges += model.diagnostics.prunes - model.diagnostics.deletions
         # prune-heavy: both kinds of removal moved rows
         assert deletions >= 50 and prune_merges >= 50
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
+    def test_store_after_every_removal(self, dim, gamma):
+        # a removal shifts the distance matrix's rows and its columns, and up
+        # to d = 3 the live half of the factor stack, with the two tables
+        for model in prune_heavy_updates(dim, gamma):
+            n = len(model)
+            assert np.isinf(model._dist[np.tril_indices_from(model._dist)]).all()
+            assert np.all(np.diff(model.ids()) > 0)
+            factors = model.factors()
+            expected = pairwise_structure_distances(factors, model.params.m)
+            if model._chol is not None:
+                assert np.array_equal(model._chol[:, :, 0, :n],
+                                      np.stack([chol for _, chol in factors], -1))
+                assert np.array_equal(model.distances(), expected)
+            else:
+                np.testing.assert_allclose(model.distances(), expected, rtol=1e-12, atol=0.0)
 
 
 class TestMergeStructures:
