@@ -195,6 +195,9 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
     points = _build_stream(config)
     if not points:
         raise ValueError("empty stream: nothing to cluster")
+    outputs = {"grid"} if grid_only else {o.strip() for o in config["outputs"].split(",")}
+    if "grid" in outputs and points[0].x.size != 2:  # before any ingest or directory
+        raise DimensionMismatch(f"decision grids need a 2-D stream, got dim {points[0].x.size}")
 
     model = SpcModel(_params(config))
     for p in points:
@@ -220,7 +223,6 @@ def _run_once(config: dict, grid_only: bool = False) -> dict:
 
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = {"grid"} if grid_only else {o.strip() for o in config["outputs"].split(",")}
 
     if not grid_only:
         _write_json(out_dir / "metrics.json", metrics)
@@ -291,8 +293,6 @@ def _write_assignments(path: Path, points, pred) -> None:
 
 
 def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:
-    if model.dim != 2:
-        raise DimensionMismatch("decision grids need a 2-D model")
     bounds = config["grid_bounds"]
     if bounds is None:
         mus = np.array([mu for mu, *_ in model.spreads()])

@@ -9,11 +9,11 @@ therefore every point, always has a label.
 DBSCAN reads the engine's own distance matrix (SpcModel.distances()),
 assignment the engine's per-structure distance kernels
 (SpcModel.sq_distance_rows()); no spread is copied or factored again.
-Assignment takes the points a fixed-size block at a time and keeps a
-running minimum over the structures' rows, so it holds O(P + block * d)
-values for P points rather than a structures-by-points matrix, and it
-transforms only the squared distances that can still beat a point's
-running winner.
+Assignment takes the points a block at a time (its values bound cache use,
+its points amortize each structure row's numpy calls) and keeps a running
+minimum over the rows, so it holds O(P + block * d) values for P points
+rather than a structures-by-points matrix, and it transforms only the
+squared distances that can still beat a point's running winner.
 """
 
 from collections import deque
@@ -26,9 +26,10 @@ from .errors import DimensionMismatch
 from .typicality import _typicality_of_dsq
 from . import linalg
 
-# Queries are assigned in blocks of this many float64 values (128 KiB), a
-# block of points at a time, so that each row of distances stays in cache.
+# Blocks of this many float64 values (128 KiB) stay in cache; blocks of at
+# least _BLOCK_POINTS points pay each structure row's calls over many points.
 _BLOCK_VALUES = 2**14
+_BLOCK_POINTS = 128
 
 
 @dataclass
@@ -138,7 +139,7 @@ def assign_with_distances(model: SpcModel, labels: ClusterLabels, points):
         raise DimensionMismatch(f"expected points of dim {model.dim}, got shape {pts.shape}")
     m = model.params.m
     n = pts.shape[0]
-    block = max(1, _BLOCK_VALUES // model.dim)
+    block = max(_BLOCK_POINTS, _BLOCK_VALUES // model.dim)
 
     nearest = np.zeros(n, dtype=np.intp)
     dist = np.full(n, np.inf)

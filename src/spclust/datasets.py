@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .errors import MissingColumn, ParseError
 
 ORDER_MODES = ("as-is", "shuffled", "round-robin-by-class", "sequential-by-class")
@@ -215,6 +216,8 @@ def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTI
                                     + short_std**2 * np.outer(perp, perp))
         if not np.isfinite(edge_covariances).all():
             raise ValueError(f"edge covariances must be finite, got long_std={long_std}")
+        if not all(map(linalg.is_pd, edge_covariances)):  # squares that underflow, or zero
+            raise ValueError(f"edge covariances must be positive-definite, got long_std={long_std}")
     rng = np.random.default_rng(seed)
     vectors = []
     for mean, cov in zip(means, edge_covariances):

@@ -289,9 +289,9 @@ class SpcModel:
         typicality of slot s's mean in each of them.
 
         The distance is one minus the product of each mean's typicality in
-        the other structure, as in typicality.structure_distance. Both
-        directions read one delta, the earlier spreads against delta and slot
-        s's against -delta (exact); up to d = 3 one closed-form call takes both.
+        the other structure, as in typicality.structure_distance. Up to d = 3
+        one closed-form call takes delta and -delta; from d = 4 both directions
+        read +delta, as every kernel there gives -delta's bits (sign symmetry).
         """
         if self._chol is not None:
             chols = self._chol[..., :s]
@@ -300,9 +300,8 @@ class SpcModel:
             dsq = linalg.solve_norm_sq(chols, delta.T[:, None] * _SIGNS)
         else:
             deltas = self._mu[s] - self._mu[:s]
-            new_in_old = fusion.norm_sq_rows(self._sigmas[:s], deltas)
-            np.negative(deltas, out=deltas)  # -delta in place: no second (s, d) block
-            dsq = np.stack((new_in_old, fusion.norm_sq(self._sigmas[s], deltas)))
+            dsq = np.stack((fusion.norm_sq_rows(self._sigmas[:s], deltas),
+                            fusion.norm_sq(self._sigmas[s], deltas)))
         u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
         return 1.0 - u_old * u_new, u_new
 

@@ -138,7 +138,8 @@ def low_rank_norm_sq(basis: np.ndarray, lam: np.ndarray, deltas: np.ndarray) -> 
     O(ndk), no factorization.
     """
     c = deltas @ basis
-    r = deltas - c @ basis.T
+    r = c @ basis.T
+    np.subtract(deltas, r, out=r)  # no second (n, d) temporary
     return np.einsum("ij,ij->i", r, r) + (c * c) @ (1.0 / lam)
 
 

@@ -69,6 +69,13 @@ _SETTING_ERRORS = {
         "squared center offsets must be finite, got separation=1e+308 and cluster_std=0.02",
     ("--source", "gaussian-highdim", "--cluster-std", "1e308", "--n-clusters", "2", "--dim", "2",
      "--n-points", "20"): "points must be finite, got cluster_std=1e+308",
+    # triangle covariances that are not positive-definite: zero, or squares that underflow
+    ("--source", "overlapping-triangle", "--long-std", "0"):
+        "edge covariances must be positive-definite, got long_std=0.0",
+    ("--source", "overlapping-triangle", "--long-std", "1e-170"):
+        "edge covariances must be positive-definite, got long_std=1e-170",
+    ("--source", "overlapping-triangle", "--long-std", "1e-300"):
+        "edge covariances must be positive-definite, got long_std=1e-300",
 }
 
 
@@ -229,6 +236,19 @@ class TestGrid:
                      "--output-dir", tmp_path / "o")
         assert rc != 0
         assert "2-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("grid",), ("run", "--outputs", "metrics,grid")])
+    def test_grid_dimension_checked_before_ingest_and_output(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        def no_ingest(self, x):
+            raise AssertionError("a stream that is not 2-D was ingested")
+
+        monkeypatch.setattr(SpcModel, "update", no_ingest)
+        rc = run_cli(*command, "--source", "gaussian-highdim", "--dim", "3",
+                     "--n-clusters", "2", "--n-points", "10", "--output-dir", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: decision grids need a 2-D stream, got dim 3\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestDeterminism:

@@ -25,6 +25,8 @@ from spclust.typicality import (
     typicality,
 )
 
+import decision_digests
+
 
 def brute_force_core_partition(d, epsilon, min_pts):
     """Independent density-reachability oracle: core points and their
@@ -444,7 +446,7 @@ def reference_assign(model, labels, points):
     ids = model.ids()
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    block = max(1, clustering._BLOCK_VALUES // model.dim)
+    block = max(clustering._BLOCK_POINTS, clustering._BLOCK_VALUES // model.dim)
     nearest = np.zeros(n, dtype=np.intp)
     dist = np.full(n, np.inf)
     for lo in range(0, n, block):
@@ -602,14 +604,14 @@ class TestAssignKernel:
         rows = list(model.sq_distance_rows(np.empty((0, dim))))
         assert len(rows) == len(model) and all(row.shape == (0,) for row in rows)
 
-    @pytest.mark.parametrize("dim", [2, 40])
+    @pytest.mark.parametrize("dim", [2, 40, 512])
     def test_block_edges_match_points_assigned_alone(self, dim):
         rng = np.random.default_rng(dim)
         model = SpcModel(SpcParams(max_structures=6))
         for x in rng.standard_normal((40, dim)):
             model.update(x)
         labels = get_clustering(model)
-        block = clustering._BLOCK_VALUES // dim
+        block = max(clustering._BLOCK_POINTS, clustering._BLOCK_VALUES // dim)
         queries = 2.0 * rng.standard_normal((block + 1, dim))
         alone = [assign_with_distances(model, labels, q[None]) for q in queries]
         alone = [np.concatenate(parts) for parts in zip(*alone)]
@@ -617,6 +619,23 @@ class TestAssignKernel:
             got = assign_with_distances(model, labels, queries[:n])
             for a, b in zip(got, alone):
                 assert np.array_equal(as_bits(a), as_bits(b[:n]))
+
+    @pytest.mark.parametrize("seed", decision_digests.BENCH_SEEDS)
+    def test_high_dim_blocks_match_blocks_of_values_alone(self, seed):
+        # at d = 512 a block holds _BLOCK_POINTS points, not the
+        # _BLOCK_VALUES // d = 32 that fit in the value count alone
+        points, params = decision_digests.bench_stream("gauss-512d", seed)
+        model = SpcModel(params)
+        for x in points:
+            model.update(x)
+        labels = get_clustering(model)
+        small = clustering._BLOCK_VALUES // model.dim
+        assert small < clustering._BLOCK_POINTS < len(points)
+        got = assign_with_distances(model, labels, points)
+        parts = [assign_with_distances(model, labels, points[lo:lo + small])
+                 for lo in range(0, len(points), small)]
+        for a, b in zip(got, (np.concatenate(p) for p in zip(*parts))):
+            assert np.array_equal(as_bits(a), as_bits(b))
 
     def test_memory_stays_below_a_structures_by_points_matrix(self):
         rng = np.random.default_rng(11)

@@ -321,6 +321,41 @@ class TestLowRankSpread:
         assert dense.flags.writeable and dense is not spread.dense()
 
 
+def sign_symmetry_spreads(rng, dim, scale):
+    """The unit singleton and stored spreads of the form for dim, at scale."""
+    spreads = [fusion.unit(dim)]
+    if dim < fusion.LOW_RANK_MIN_DIM:
+        sigma = random_spd(rng, dim, scale * scale)
+        chol = linalg.cholesky(sigma)[1]
+        # the factor as LAPACK returns it, and a C-ordered copy
+        return spreads + [fusion.DenseSpread(sigma, c) for c in (chol, np.ascontiguousarray(chol))]
+    for k in (1, 7, min(dim, 50)):
+        basis = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+        spreads.append(LowRankSpread(basis, 1.0 + scale * scale * rng.uniform(0.1, 1e3, k)))
+    return spreads
+
+
+class TestNormSqSignSymmetry:
+    """The engine reads both directions of a distance row from +delta from
+    d = 4 on: every kernel there must give -delta's bits."""
+
+    @pytest.mark.parametrize("dim", [4, 8, 31, 32, 33, 64, 512])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_negated_deltas_give_the_same_bits(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        signs = rng.choice([-1.0, 1.0], (4, dim))
+        deltas = np.vstack([scale * rng.standard_normal((40, dim)),
+                            1e200 * signs, 1.5e308 * signs, np.inf * signs])
+        for spread in sign_symmetry_spreads(rng, dim, scale):
+            with np.errstate(over="ignore", invalid="ignore"):
+                plus = fusion.norm_sq(spread, deltas)
+                minus = fusion.norm_sq(spread, -deltas)
+            nan = np.isnan(plus)
+            assert np.array_equal(nan, np.isnan(minus))
+            assert np.isinf(plus[40:]).any()
+            assert np.array_equal(plus[~nan].view(np.int64), minus[~nan].view(np.int64))
+
+
 class TestUnionAbsorbingUnit:
     def test_matches_dense_union(self):
         rng = np.random.default_rng(15)
