@@ -33,16 +33,17 @@ id among equally typical targets; prune candidates run in (weight, id)
 order, each as one row against the whole store the previous one left,
 the candidates still pending (itself included) masked as infinitely far.
 
-Each slot's distances to the earlier slots are computed once, when it
-is filled; a singleton's row also gives the new point's typicality in
-every structure for the weight update. Up to d = 3 the factors are
-stacked and one call of linalg.solve_norm_sq's closed form gives a
-whole row in both directions, bit for bit what structure_distance
-computes pair by pair. From d = 4 each spread's own norm_sq gives them.
-The offline DBSCAN reads this same matrix through distances(). The
-typicality transforms read an inf or NaN squared distance (an offset that
-overflows) as infinitely far: update and merge_structures ignore numpy's
-overflow warnings, and a merge whose spread overflows raises ValueError.
+Each slot's distances to the earlier slots are computed once: from d = 4
+when it is filled, by each spread's own norm_sq; up to d = 3 with the next
+slot's, in one call of linalg.solve_norm_sq's closed form over the stacked
+factors, bit for bit what structure_distance computes pair by pair. A
+singleton's column also gives the new point's typicality in every
+structure for the weight update. The closest-pair search and the reads
+(spreads, distances) first complete a waiting column. The offline DBSCAN
+reads this same matrix through distances(). The typicality transforms
+read an inf or NaN squared distance (an offset that overflows) as
+infinitely far: update and merge_structures ignore numpy's overflow
+warnings, and a merge whose spread overflows raises ValueError.
 """
 
 import math
@@ -52,9 +53,7 @@ import numpy as np
 
 from . import fusion, linalg
 from .errors import DimensionMismatch, UnknownIdentifier
-from .typicality import Structure, _nlt_of_dsq, _typicality_of_dsq
-
-_SIGNS = np.array([[1.0], [-1.0]])  # delta and -delta: both directions of a row
+from .typicality import Structure, _check_fuzzifier, _nlt_of_dsq, _typicality_of_dsq
 
 
 def decay_norms(steps: list[int], rate: float) -> list[float]:
@@ -94,8 +93,7 @@ class SpcParams:
             raise ValueError("max_structures must be >= 2")
         if not (self.gamma >= 0.0 and self.beta >= 0.0):
             raise ValueError("decay rates must be nonnegative")
-        if not 1.0 < self.m < math.inf:
-            raise ValueError("fuzzifier m must be finite and > 1")
+        _check_fuzzifier(self.m)
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.w_min < 1.0:
@@ -122,8 +120,8 @@ class Diagnostics:
 class SpcModel:
     """Mutable model state: ordered structure store plus the stream clock.
 
-    Single writer: update and merge_structures need exclusive access.
-    snapshot, factors and distances are read-only and safe between updates.
+    Single writer, reads included: snapshot, factors, spreads and distances
+    change no result but complete the waiting distance columns.
     """
 
     def __init__(self, params: SpcParams):
@@ -133,7 +131,6 @@ class SpcModel:
         self.diagnostics = Diagnostics()
         self.retired_age = 0
         self._next_id = 0
-        self._n = 0
         self._empty_store(0)
 
     def _empty_store(self, dim: int) -> None:
@@ -149,10 +146,11 @@ class SpcModel:
         # upper triangle only: on and below the diagonal stays inf through _drop's shifts
         self._dist = np.full((cap, cap), math.inf)
         self._sigmas: list[fusion.Spread] = []  # per slot
-        # up to d = 3, the factors in the closed-form kernel's layout, (d, d, 2,
-        # N + 1): [..., 0, k] is slot k's factor, [..., 1, :s] slot s's while its row is made
+        self._n = self._done = 0  # the slots from _done on wait for their distance columns
+        # up to d = 3 the kernel's factors of pairs (k, p), p the j-th of two waiting
+        # slots: [..., 0, j, k] is slot k's (for both j), [..., 1, j, :] slot p's
         closed_form = 0 < dim <= linalg.CLOSED_FORM_MAX_DIM
-        self._chol = np.zeros((dim, dim, 2, cap)) if closed_form else None
+        self._chol = np.zeros((dim, dim, 2, 2, cap)) if closed_form else None
 
     def __len__(self) -> int:
         return self._n
@@ -173,9 +171,14 @@ class SpcModel:
         neither copied nor built: all unit singletons share fusion.unit(dim),
         and later updates replace spreads, never change them.
         """
+        self._columns()
         mus = self._mu[:self._n].copy()
         mus.setflags(write=False)
-        return list(zip(mus, self._sigmas, self._weights().tolist(), self._age[:self._n].tolist()))
+        # a weight is at most one, as a damped average of typicalities is; the
+        # recursive sum and the closed-form normalizer can round one ulp apart
+        norms = decay_norms(self._weight_age[:self._n].tolist(), self.params.beta)
+        weights = np.minimum(1.0, self._weight_acc[:self._n] / norms).tolist()
+        return list(zip(mus, self._sigmas, weights, self._age[:self._n].tolist()))
 
     def factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(mean, lower Cholesky factor) of every structure, ordered by identifier.
@@ -191,6 +194,7 @@ class SpcModel:
         From d = 4 an entry can differ in the last bit from the pair-by-pair
         clustering.pairwise_structure_distances (one many-column solve).
         """
+        self._columns()
         upper = np.triu(self._dist[:self._n, :self._n], 1)
         return upper + upper.T
 
@@ -199,7 +203,7 @@ class SpcModel:
 
         A generator over the structures in id order, so a caller holds one
         row at a time. Each row goes through the kernel of the engine's own
-        distance rows: up to d = 3 the closed form on the stored factor, bit
+        distance columns: up to d = 3 the closed form on the stored factor, bit
         for bit what decision_distance computes point by point; from d = 4
         fusion.norm_sq, a plain squared norm under a unit singleton. No
         spread is built or factored, and a point whose offset overflows is
@@ -225,9 +229,9 @@ class SpcModel:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.shape[0]}")
 
         self.clock += 1
-        # the singleton's distance row already holds x's typicality in every
-        # earlier structure
-        typicality = self._append(fusion.unit(self.dim), 1, 1, 1.0, x, x)
+        self._append(fusion.unit(self.dim), 1, 1, 1.0, x, x)
+        # the singleton's distance column holds x's typicality in every earlier structure
+        typicality = self._columns()
         if self._n <= self.params.max_structures:
             return
 
@@ -255,71 +259,64 @@ class SpcModel:
             raise UnknownIdentifier(f"no structure with identifier {ident}")
         return int(hits[0])
 
-    def _append(self, sigma, age, weight_age, weight_acc, mu, mean_acc) -> np.ndarray:
-        """Fill the next slot, one row of each table (no weight: _weights
-        derives it), and its column of distances to every earlier slot;
-        returns the typicality of the new mean in each earlier structure.
+    def _append(self, sigma, age, weight_age, weight_acc, mu, mean_acc) -> None:
+        """Fill the next slot, one row of each table (no weight: spreads derives
+        it); its column of distances to the earlier slots waits for _columns.
         """
         s = self._n
         self._sigmas.append(sigma)
         self._ints[s] = self._next_id, age, weight_age
         self._weight_acc[s], self._mu[s], self._mean_acc[s] = weight_acc, mu, mean_acc
         if self._chol is not None:
-            self._chol[:, :, 0, s] = sigma.factor()
+            self._chol[:, :, 0, :, s] = sigma.factor()[..., None]
         self._next_id += 1
         self._n = s + 1
-        self._dist[:s, s], typicality = self._distance_row(s)
-        return typicality
 
     def _drop(self, *slots: int) -> None:
         """Remove slots, highest first, shifting each later row down one in place."""
         for k in sorted(slots, reverse=True):
             n = self._n = self._n - 1
             del self._sigmas[k]
-            self._ints[k:n] = self._ints[k + 1:n + 1]
-            self._floats[k:n] = self._floats[k + 1:n + 1]
-            if self._chol is not None:  # the live half: _distance_row refills [..., 1, :]
-                self._chol[:, :, 0, k:n] = self._chol[:, :, 0, k + 1:n + 1]
-            # rows, then columns: on or below the diagonal, inf only receives inf
-            self._dist[k:n] = self._dist[k + 1:n + 1]
-            self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
+            self._done -= k < self._done  # one complete slot fewer
+            if k < n:  # the last slot moves no row
+                self._ints[k:n] = self._ints[k + 1:n + 1]
+                self._floats[k:n] = self._floats[k + 1:n + 1]
+                if self._chol is not None:  # the live half: _columns refills [..., 1, :, :]
+                    self._chol[:, :, 0, :, k:n] = self._chol[:, :, 0, :, k + 1:n + 1]
+                # rows, then columns: on or below the diagonal, inf only receives inf
+                self._dist[k:n] = self._dist[k + 1:n + 1]
+                self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
 
-    def _distance_row(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Structure distance of slot s to each earlier slot, and the
-        typicality of slot s's mean in each of them.
-
-        The distance is one minus the product of each mean's typicality in
-        the other structure, as in typicality.structure_distance. Up to d = 3
-        one closed-form call takes delta and -delta; from d = 4 both directions
-        read +delta, as every kernel there gives -delta's bits (sign symmetry).
-        """
-        if self._chol is not None:
-            chols = self._chol[..., :s]
-            chols[:, :, 1] = self._chol[:, :, 0, s, None]
-            delta = self._mu[s] - self._mu[:s]
-            dsq = linalg.solve_norm_sq(chols, delta.T[:, None] * _SIGNS)
-        else:
-            deltas = self._mu[s] - self._mu[:s]
-            dsq = np.stack((fusion.norm_sq_rows(self._sigmas[:s], deltas),
-                            fusion.norm_sq(self._sigmas[s], deltas)))
-        u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
-        return 1.0 - u_old * u_new, u_new
-
-    def _dsq_at(self, point: np.ndarray, n: int) -> np.ndarray:
-        """Squared Mahalanobis distance of point under each of the first n
-        slots' spreads, read through views of that slot prefix (no gathered
-        copies); a slot's value has the same bits whatever n is."""
-        deltas = point - self._mu[:n]
-        if self._chol is not None:
-            return linalg.solve_norm_sq(self._chol[:, :, 0, :n], deltas.T)
-        return fusion.norm_sq_rows(self._sigmas[:n], deltas)
+    def _columns(self) -> np.ndarray | None:
+        """Fill the distance column of each waiting slot p, up to d = 3 two to a closed-form
+        call, both directions from delta = mu_p - mu_k (every kernel gives -delta's bits);
+        returns the typicality of the newest slot's mean in each earlier structure."""
+        typicality = None
+        while (lo := self._done) < self._n:
+            hi = min(self._n, lo + (2 if self._chol is not None else 1))
+            if self._chol is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # update's rule, for reads too
+                    chols = self._chol[..., :hi - lo, :hi - 1]
+                    chols[:, :, 1] = self._chol[:, :, 0, 0, lo:hi, None]
+                    delta = self._mu[lo:hi].T[..., None] - self._mu[:hi - 1].T[:, None]
+                    dsq = linalg.solve_norm_sq(chols, delta[:, None])
+            else:  # only update and merge_structures, which ignore overflow, get here
+                deltas = self._mu[lo] - self._mu[:lo]
+                dsq = np.stack((fusion.norm_sq_rows(self._sigmas[:lo], deltas),
+                                fusion.norm_sq(self._sigmas[lo], deltas)))[:, None]
+            u_new, u_old = _typicality_of_dsq(dsq, self.params.m)
+            dist = 1.0 - u_old * u_new
+            for j, p in enumerate(range(lo, hi)):
+                self._dist[:p, p] = dist[j, :p]
+            self._done, typicality = hi, u_new[-1]  # complete once written
+        return typicality
 
     @np.errstate(over="ignore", invalid="ignore")
     def _point_dsq(self, points: np.ndarray, k: int) -> np.ndarray:
         """Squared Mahalanobis distance of each point under slot k's spread, inf
         where the offset overflows; up to d = 3 the points come as a (d, n) array."""
         if self._chol is not None:
-            dsq = linalg.solve_norm_sq(self._chol[:, :, 0, k], points - self._mu[k, :, None])
+            dsq = linalg.solve_norm_sq(self._chol[:, :, 0, 0, k], points - self._mu[k, :, None])
         else:
             dsq = fusion.norm_sq(self._sigmas[k], points - self._mu[k])
         dsq[np.isnan(dsq)] = math.inf
@@ -333,25 +330,30 @@ class SpcModel:
         self._weight_acc[n - 1] += 1.0
         self._weight_age[:n] += 1
 
-    def _weights(self) -> np.ndarray:
-        """Each slot's weight accumulator over its window's normalizer, at most
-        one: a damped average of typicalities is at most one, and the recursive
-        sum and the closed-form normalizer can round one ulp apart."""
-        norms = decay_norms(self._weight_age[:self._n].tolist(), self.params.beta)
-        return np.minimum(1.0, self._weight_acc[:self._n] / norms)
+    def _prune_candidates(self) -> np.ndarray:
+        """Slots of weight below w_min in (weight, id) order. A normalizer grows with its
+        window, so a weight is at least the accumulator over the longest window's (at beta = 0
+        its own): only slots under w_min there, plus a margin for expm1, take exact weights."""
+        acc, ages, beta = self._weight_acc[:self._n], self._weight_age[:self._n], self.params.beta
+        bound = ages if beta == 0.0 else decay_norms([int(ages.max())], beta)[0]
+        slots = np.flatnonzero(acc / bound < self.params.w_min * (1.0 + 1e-12))
+        if not slots.size:
+            return slots
+        weight = acc[slots] / decay_norms(ages[slots].tolist(), beta)
+        low = weight < self.params.w_min
+        # slots are in id order, so a stable sort by weight orders by (weight, id)
+        return slots[low][np.argsort(weight[low], kind="stable")]
 
     def _prune(self) -> None:
-        weight = self._weights()
-        low = np.flatnonzero(weight < self.params.w_min)
-        if not low.size:
-            return
-        # slots are in id order, so a stable sort by weight orders by (weight, id)
-        candidates = self._ids[low[np.argsort(weight[low], kind="stable")]]
+        candidates = self._ids[self._prune_candidates()]
         for i in range(candidates.size):
             # this candidate and the later ones: never a target
             pending = np.searchsorted(self._ids[:self._n], candidates[i:])
-            cand = int(pending[0])
-            nlt = _nlt_of_dsq(self._dsq_at(self._mu[cand], self._n), self.params.m)
+            cand, n = int(pending[0]), self._n
+            deltas = self._mu[cand] - self._mu[:n]  # cand's mean under every slot's spread
+            dsq = (fusion.norm_sq_rows(self._sigmas[:n], deltas) if self._chol is None
+                   else linalg.solve_norm_sq(self._chol[:, :, 0, 0, :n], deltas.T))
+            nlt = _nlt_of_dsq(dsq, self.params.m)
             nlt[pending] = math.inf
             best = int(np.argmin(nlt))  # the first minimum: the lowest id
             self.diagnostics.prunes += 1
@@ -363,14 +365,14 @@ class SpcModel:
                 self._drop(cand)
 
     def _closest_pair(self) -> tuple[int, int]:
-        n = self._n
-        return divmod(int(np.argmin(self._dist[:n, :n])), n)
+        self._columns()
+        return divmod(int(np.argmin(self._dist[:self._n, :self._n])), self._n)
 
     def _merge(self, a: int, b: int) -> None:
-        """Replace two slots with their fusion (older plays the lead role)."""
-        older, younger = sorted((a, b), key=lambda k: (-self._age[k], self._ids[k]))
-        age_old, wage_old = self._ints[older, 1:].tolist()
-        age_new, wage_new = self._ints[younger, 1:].tolist()
+        """Replace two slots with their fusion; the older (greater age, then smaller id) leads."""
+        rows = self._ints[a].tolist(), self._ints[b].tolist()  # [id, age, weight age]
+        older, younger = (b, a) if (rows[1][1], rows[0][0]) > (rows[0][1], rows[1][0]) else (a, b)
+        (_, age_old, wage_old), (_, age_new, wage_new) = rows if older == a else rows[::-1]
         w_old, w_new = float(self._weight_acc[older]), float(self._weight_acc[younger])
 
         shift = math.exp(-self.params.gamma * age_new)
@@ -388,4 +390,6 @@ class SpcModel:
 
         self._drop(a, b)
         self._append(sigma, age, wage_old + wage_new, weight_acc, mu, mean_acc)
+        if self._chol is None:  # from d = 4 a column's bits depend on its BLAS call
+            self._columns()
 

@@ -3,14 +3,19 @@
 Nothing in spclust calls these: the oracles evaluate the defining
 formulas directly, with full retention of their inputs, and so serve as
 references for the streaming paths rather than as streaming operations.
-folded drives the engine's own closed-form merge over given windows.
+folded drives the engine's own closed-form merge over given windows;
+replay streams points through the engine with or without reads between
+updates.
 """
 
+import copy
+import itertools
 import math
 
 import numpy as np
 
-from spclust import linalg
+from spclust import fusion, linalg
+from spclust.clustering import pairwise_structure_distances
 from spclust.engine import SpcModel, SpcParams, decay_norms
 from spclust.typicality import Structure, _check_fuzzifier, _typicality_of_dsq
 
@@ -92,3 +97,51 @@ def folded(windows, gamma: float = 0.0, beta: float = 0.0) -> SpcModel:
             model.update(x)
             model.merge_structures(*model.ids()[-2:])
     return model
+
+
+READS = ("distances", "snapshot", "factors", "spreads")
+
+
+def replay(points, params: SpcParams, merges=(), reads: bool = False):
+    """Stream points through a new model; after each update yields the model
+    and its state (ids, distances(), weights, ages).
+
+    After update t, for t in merges, merge_structures fuses the two oldest
+    structures. With reads, one public read (READS in turn) runs after every
+    update and every merge, and check_complete checks that it left the
+    distance matrix complete. Without, the model itself is never read: its
+    state is read from a deep copy, so any distance column left waiting
+    stays waiting in the replayed model. The copy is only read: its column
+    views (_ids, _mu, ...) no longer alias the tables, so it cannot update.
+    """
+    model = SpcModel(params)
+    turn = itertools.count()
+
+    def read():
+        if reads:
+            getattr(model, READS[next(turn) % len(READS)])()
+            check_complete(model)
+
+    for t, x in enumerate(points):
+        model.update(x)
+        read()
+        if t in merges and len(model) > 1:
+            model.merge_structures(*model.ids()[:2])
+            read()
+        unit = fusion.unit(model.dim)  # the copy's unit singletons share it too
+        state = model if reads else copy.deepcopy(model, {id(unit): unit})
+        spreads = state.spreads()
+        yield model, (state.ids(), state.distances(), np.array([w for *_, w, _ in spreads]),
+                      [age for *_, age in spreads])
+
+
+def check_complete(model: SpcModel) -> None:
+    """Assert that the engine's own distance matrix holds every pair's distance:
+    up to d = 3 bit for bit pairwise_structure_distances', from d = 4 to 1e-12."""
+    n = len(model)
+    engine = np.triu(model._dist[:n, :n], 1)  # before factors() could complete it
+    expected = np.triu(pairwise_structure_distances(model.factors(), model.params.m), 1)
+    if model.dim <= linalg.CLOSED_FORM_MAX_DIM:
+        assert engine.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(engine, expected, rtol=1e-12, atol=0.0)

@@ -20,6 +20,7 @@ from spclust.metrics import purity
 from spclust.typicality import decision_distance, nlt
 
 import decision_digests
+import oracles
 
 
 def total_age(model):
@@ -341,8 +342,9 @@ class TestRowAlignment:
             factors = model.factors()
             expected = pairwise_structure_distances(factors, model.params.m)
             if model._chol is not None:
-                assert np.array_equal(model._chol[:, :, 0, :n],
-                                      np.stack([chol for _, chol in factors], -1))
+                live = np.stack([chol for _, chol in factors], -1)[:, :, None]
+                assert np.array_equal(model._chol[:, :, 0, :, :n],
+                                      np.broadcast_to(live, model._chol[:, :, 0, :, :n].shape))
                 assert np.array_equal(model.distances(), expected)
             else:
                 np.testing.assert_allclose(model.distances(), expected, rtol=1e-12, atol=0.0)
@@ -812,3 +814,135 @@ class TestTwoBlobsEndToEnd:
             assert len(np.unique(truth[pred == c])) == 1
         assert len(np.unique(truth[pred == top[0]])) == 1
         assert set(truth[pred == top[0]]) != set(truth[pred == top[1]])
+
+
+def waiting_stream(dim, seed, n=80):
+    """Points around 6 centers under a budget of 6 with prunes, and the
+    updates after which the two oldest structures are merged by hand."""
+    rng = np.random.default_rng(seed)
+    pool = 3.0 * rng.standard_normal((6, dim))
+    points = pool[rng.integers(0, 6, n)] + 0.3 * rng.standard_normal((n, dim))
+    params = SpcParams(max_structures=6, gamma=0.1, beta=0.3, w_min=0.3)
+    return points, params, set(range(3, n, 4))
+
+
+class TestReadsChangeNothing:
+    """Up to d = 3 a merged structure's distance column waits for the next
+    update; a read completes it first, and changes no result."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_replays_with_and_without_reads_agree(self, dim, seed):
+        points, params, merges = waiting_stream(dim, seed)
+        waiting = []
+        plain = oracles.replay(points, params, merges)
+        read = oracles.replay(points, params, merges, reads=True)
+        for (model, (ids, dist, weights, ages)), (_, (ids_r, dist_r, weights_r, ages_r)) in zip(
+                plain, read, strict=True):
+            waiting.append(len(model) - model._done)
+            assert ids == ids_r and ages == ages_r
+            assert dist.tobytes() == dist_r.tobytes()
+            assert weights.tobytes() == weights_r.tobytes()
+        # up to d = 3 columns wait, at times two, which with the next
+        # singleton's take two closed-form calls; from d = 4 none waits
+        assert max(waiting) >= 2 if dim <= 3 else max(waiting) == 0
+
+    @pytest.mark.parametrize("read", oracles.READS)
+    def test_each_read_completes_a_merged_column(self, read):
+        model = SpcModel(SpcParams(max_structures=8))
+        for x in np.random.default_rng(5).standard_normal((8, 2)):
+            model.update(x)
+        model.merge_structures(*model.ids()[:2])
+        assert model._done == len(model) - 1  # the merged structure's column waits
+        getattr(model, read)()
+        oracles.check_complete(model)
+
+    def test_read_of_an_overflowing_column_is_silent(self):
+        # a read completes a column under update's rule for offsets that overflow
+        model = SpcModel(SpcParams(max_structures=4))
+        for x in ([-1.7e308, 0.0], [5e307, 0.0], [5e307, 1.0]):
+            model.update(x)
+        model.merge_structures(1, 2)  # its offset from structure 0 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = model.distances()
+        assert dist[0, 1] == 1.0
+
+    def test_a_column_that_raises_still_waits(self, monkeypatch):
+        # a column counts as complete only once written, so a later read redoes it
+        model = SpcModel(SpcParams(max_structures=8))
+        for x in np.random.default_rng(5).standard_normal((8, 2)):
+            model.update(x)
+        model.merge_structures(*model.ids()[:2])
+        done = model._done
+
+        def fails(d_sq, m):
+            raise MemoryError
+
+        monkeypatch.setattr("spclust.engine._typicality_of_dsq", fails)
+        with pytest.raises(MemoryError):
+            model.distances()
+        assert model._done == done
+        monkeypatch.undo()
+        model.distances()
+        oracles.check_complete(model)
+
+
+def exact_prune_candidates(model):
+    """The prune candidates from every slot's exact weight, as the full pass
+    before the longest-window bound computed them."""
+    n = len(model)
+    norms = decay_norms(model._weight_age[:n].tolist(), model.params.beta)
+    weight = np.minimum(1.0, model._weight_acc[:n] / norms)
+    low = np.flatnonzero(weight < model.params.w_min)
+    return low[np.argsort(weight[low], kind="stable")]
+
+
+class TestPruneBound:
+    """A slot whose accumulator over the longest window's normalizer reaches
+    w_min is not low, so only the others take their exact weights."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.05, 3.0, 40.0])
+    def test_hostile_weight_ages(self, beta):
+        rng = np.random.default_rng(7)
+        w_min = 0.3
+        model = SpcModel(SpcParams(max_structures=40, beta=beta, w_min=w_min))
+        for x in rng.standard_normal((30, 2)):
+            model.update(x)
+        n = len(model)
+        found = 0
+        for trial in range(300):
+            ages = rng.choice([1, 2, 3, 7, 1000, 2**31, 10**12], n)
+            if trial % 3 == 0:  # every slot as old as the oldest
+                ages[:] = ages.max()
+            norms = np.array(decay_norms(ages.tolist(), beta))
+            # on the threshold, one ulp either side, far below, zero, weight 1 and above
+            edge = w_min * norms
+            acc = np.stack([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                            0.01 * edge, 0.0 * edge, norms, 1.5 * norms,
+                            rng.uniform(0.0, 2.0, n) * edge])
+            model._weight_age[:n] = ages
+            model._weight_acc[:n] = acc[rng.integers(0, len(acc), n), np.arange(n)]
+            expected = exact_prune_candidates(model)
+            assert model._prune_candidates().tolist() == expected.tolist()
+            found += expected.size
+        assert found > 1000
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.05, 3.0, 40.0])
+    def test_every_prune_of_a_stream(self, beta, monkeypatch):
+        bounded = SpcModel._prune_candidates
+        pruned = []
+
+        def checked(model):
+            candidates = bounded(model)
+            assert candidates.tolist() == exact_prune_candidates(model).tolist()
+            pruned.append(candidates.size)
+            return candidates
+
+        monkeypatch.setattr(SpcModel, "_prune_candidates", checked)
+        rng = np.random.default_rng(3)
+        pool = 3.0 * rng.standard_normal((6, 2))
+        model = SpcModel(SpcParams(max_structures=6, beta=beta, w_min=0.3))
+        for k in rng.integers(0, 6, 200):
+            model.update(pool[k] + 0.1 * rng.standard_normal(2))
+        assert sum(pruned) > 0
