@@ -125,6 +125,9 @@ def _checked(config: dict) -> dict:
             raise ValueError(f"{key} must be >= {lo}, got {config[key]}")
         if config[key] == np.inf:
             raise ValueError(f"{key} must be finite and >= {lo}, got inf")
+    StreamSpec(source=config["source"], order=config["order"])  # refuses either by name
+    if config["source"] == "csv" and not config["csv_path"]:
+        raise ValueError("csv source needs csv_path")
     if len(config["delimiter"]) != 1:
         raise ValueError(f"delimiter must be one character, got {config['delimiter']!r}")
     bounds = config["grid_bounds"]
@@ -163,7 +166,7 @@ def _load_config_file(path: Path) -> dict:
 def _build_stream(config: dict):
     # each setting the source's function names (csv_path is path); seed and order go in the spec
     source = config["source"]
-    takes = inspect.signature(SOURCES[source]).parameters if source in SOURCES else ()
+    takes = inspect.signature(SOURCES[source]).parameters
     params = []
     for key in _SETTINGS:
         name = "path" if key == "csv_path" else key
@@ -175,8 +178,6 @@ def _build_stream(config: dict):
         elif key == "label_column":
             value = _parse_column(value)
         params.append((name, value))
-    if source == "csv" and not config["csv_path"]:
-        raise ValueError("csv source needs csv_path")
     spec = StreamSpec(source=source, params=tuple(params), order=config["order"],
                       seed=config["seed"])
     return build_stream(spec)
@@ -288,8 +289,8 @@ def _write_snapshot(path: Path, model: SpcModel) -> None:
 
 
 def _write_assignments(path: Path, points, pred) -> None:
-    lines = ["t,label,cluster"] + [f"{p.t},{p.label},{c}" for p, c in zip(points, pred)]
-    path.write_text("\n".join(lines) + "\n")
+    rows = (f"{t},{p.label},{c}" for t, (p, c) in enumerate(zip(points, pred)))
+    path.write_text("\n".join(["t,label,cluster", *rows]) + "\n")
 
 
 def _write_grid(path: Path, model: SpcModel, labels, config: dict) -> None:

@@ -1,10 +1,10 @@
 """Stream sources: labeled CSV ingestion and synthetic dataset generators.
 
 Every generator is a pure function of its parameters and seed, and each
-documents its arrival order, since the engine is order-sensitive. The
-``order`` argument of load_csv and reorder() can impose a different
-arrival pattern afterwards; arrival indices are re-stamped so they stay
-strictly increasing.
+documents its arrival order, since the engine is order-sensitive. A
+stream is a list in arrival order, so a point's arrival index is its
+position; the ``order`` argument of load_csv and reorder() can list the
+same points in another arrival pattern, copying or re-stamping none.
 """
 
 import csv
@@ -32,11 +32,10 @@ TRIANGLE_VERTICES = ((0.0, 0.0), (10.0, 0.0), (5.0, 8.0))
 
 @dataclass
 class LabeledPoint:
-    """One stream element: feature vector, class id, arrival index."""
+    """One stream element: feature vector and class id."""
 
     x: np.ndarray
     label: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -59,37 +58,31 @@ class StreamSpec:
 def build_stream(spec: StreamSpec) -> list[LabeledPoint]:
     """Materialize the stream a StreamSpec describes."""
     points = SOURCES[spec.source](seed=spec.seed, **dict(spec.params))
-    if spec.order != "as-is":
-        points = reorder(points, spec.order, spec.seed)
-    return points
+    return reorder(points, spec.order, spec.seed)
 
 
 def _stamp(vectors, labels) -> list[LabeledPoint]:
-    return [
-        LabeledPoint(x=np.asarray(v, dtype=float), label=int(c), t=i)
-        for i, (v, c) in enumerate(zip(vectors, labels))
-    ]
+    return [LabeledPoint(x=np.asarray(v, dtype=float), label=int(c))
+            for v, c in zip(vectors, labels)]
 
 
 def reorder(points: list[LabeledPoint], order: str, seed: int = 0) -> list[LabeledPoint]:
-    """Apply one of the arrival-order modes and re-stamp arrival indices."""
+    """The same points, listed in one of the arrival-order modes."""
     if order not in ORDER_MODES:
         raise ValueError(f"unknown order {order!r}, expected one of {ORDER_MODES}")
     if order == "as-is":
-        items = list(points)
-    elif order == "shuffled":
+        return list(points)
+    if order == "shuffled":
         rng = np.random.default_rng(seed)
-        items = [points[i] for i in rng.permutation(len(points))]
-    else:
-        by_class: dict[int, list[LabeledPoint]] = {}
-        for p in points:
-            by_class.setdefault(p.label, []).append(p)
-        groups = [by_class[c] for c in sorted(by_class)]
-        if order == "sequential-by-class":
-            items = [p for g in groups for p in g]
-        else:  # round-robin-by-class
-            items = [g[i] for i in range(max(map(len, groups))) for g in groups if i < len(g)]
-    return [LabeledPoint(x=p.x, label=p.label, t=i) for i, p in enumerate(items)]
+        return [points[i] for i in rng.permutation(len(points))]
+    by_class: dict[int, list[LabeledPoint]] = {}
+    for p in points:
+        by_class.setdefault(p.label, []).append(p)
+    groups = [by_class[c] for c in sorted(by_class)]
+    if order == "sequential-by-class":
+        return [p for g in groups for p in g]
+    # round-robin-by-class
+    return [g[i] for i in range(max(map(len, groups))) for g in groups if i < len(g)]
 
 
 def load_csv(path, feature_columns=None, label_column=None, order: str = "as-is",
@@ -161,14 +154,13 @@ def _resolve_column(col, header, width) -> int:
         raise MissingColumn(f"no column named {col!r} in header {header}") from None
 
 
-def gen_sine_waves(n_per_class: int = 400, classes=SINE_CLASSES,
-                   x_span=(0.0, 4.0 * math.pi), noise_std: float = 0.15,
+def gen_sine_waves(n_per_class: int = 400, noise_std: float = 0.15,
                    seed: int = 0) -> list[LabeledPoint]:
-    """Sine-wave classes drifting rightward, sampled round-robin.
+    """The SINE_CLASSES waves drifting rightward, sampled round-robin.
 
     Point i of class (a, f, phi, b) sits at (x_i, a*sin(f*x_i + phi) + b)
-    plus vertical noise, with x_i marching across x_span, so the stream
-    is nonstationary: arrivals move steadily toward larger x. The default
+    plus vertical noise, with x_i marching across [0, 4 pi], so the stream
+    is nonstationary: arrivals move steadily toward larger x. The 4 pi
     span keeps the drift per arrival slow enough that a decayed structure
     can always be folded into a longer-lived neighbor instead of being
     dropped with its history.
@@ -176,10 +168,10 @@ def gen_sine_waves(n_per_class: int = 400, classes=SINE_CLASSES,
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    xs = np.linspace(x_span[0], x_span[1], n_per_class)
+    xs = np.linspace(0.0, 4.0 * math.pi, n_per_class)
     vectors, labels = [], []
     for i in range(n_per_class):
-        for c, (amp, freq, phase, offset) in enumerate(classes):
+        for c, (amp, freq, phase, offset) in enumerate(SINE_CLASSES):
             y = amp * math.sin(freq * xs[i] + phase) + offset
             if noise_std > 0.0:
                 y += noise_std * rng.standard_normal()
@@ -189,35 +181,30 @@ def gen_sine_waves(n_per_class: int = 400, classes=SINE_CLASSES,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing covariance is refused below
-def gen_overlapping_triangle(n_per_class: int = 300, vertex_means=TRIANGLE_VERTICES,
-                             edge_covariances=None, seed: int = 0,
-                             long_std: float = 2.0, axis_ratio: float = 10.0
-                             ) -> list[LabeledPoint]:
+def gen_overlapping_triangle(n_per_class: int = 300, seed: int = 0,
+                             long_std: float = 2.0) -> list[LabeledPoint]:
     """Three strongly correlated Gaussians arranged as a triangle.
 
-    Each class sits on a triangle vertex with its covariance elongated
-    along the direction of the opposite edge (long_std by
-    long_std/axis_ratio), which leaves sparse bridges of points between
-    the clusters. Classes arrive sequentially; points within a class
-    arrive in random order.
+    Each class sits on a vertex of TRIANGLE_VERTICES with its covariance
+    elongated along the direction of the opposite edge (long_std by
+    long_std/10), which leaves sparse bridges of points between the
+    clusters. Classes arrive sequentially; points within a class arrive
+    in random order.
     """
-    means = [np.asarray(v, dtype=float) for v in vertex_means]
-    if len(means) != 3:
-        raise ValueError("the triangle needs exactly 3 vertex means")
-    if edge_covariances is None:
-        edge_covariances = []
-        long_std = np.float64(long_std)  # ** as a float's (libm pow), but inf on overflow
-        short_std = long_std / axis_ratio
-        for i in range(3):
-            a, b = means[(i + 1) % 3], means[(i + 2) % 3]
-            axis = (b - a) / np.linalg.norm(b - a)
-            perp = np.array([-axis[1], axis[0]])
-            edge_covariances.append(long_std**2 * np.outer(axis, axis)
-                                    + short_std**2 * np.outer(perp, perp))
-        if not np.isfinite(edge_covariances).all():
-            raise ValueError(f"edge covariances must be finite, got long_std={long_std}")
-        if not all(map(linalg.is_pd, edge_covariances)):  # squares that underflow, or zero
-            raise ValueError(f"edge covariances must be positive-definite, got long_std={long_std}")
+    means = [np.asarray(v, dtype=float) for v in TRIANGLE_VERTICES]
+    edge_covariances = []
+    long_std = np.float64(long_std)  # ** as a float's (libm pow), but inf on overflow
+    short_std = long_std / 10.0
+    for i in range(3):
+        a, b = means[(i + 1) % 3], means[(i + 2) % 3]
+        axis = (b - a) / np.linalg.norm(b - a)
+        perp = np.array([-axis[1], axis[0]])
+        edge_covariances.append(long_std**2 * np.outer(axis, axis)
+                                + short_std**2 * np.outer(perp, perp))
+    if not np.isfinite(edge_covariances).all():
+        raise ValueError(f"edge covariances must be finite, got long_std={long_std}")
+    if not all(map(linalg.is_pd, edge_covariances)):  # squares that underflow, or zero
+        raise ValueError(f"edge covariances must be positive-definite, got long_std={long_std}")
     rng = np.random.default_rng(seed)
     vectors = []
     for mean, cov in zip(means, edge_covariances):
@@ -272,15 +259,13 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
     return _stamp(vectors[order], labels[order])
 
 
-def gen_two_circles(n_per_class: int = 250, centers=((0.0, 0.0), (2.1, 0.0)),
-                    radii=(1.0, 1.0), seed: int = 0) -> list[LabeledPoint]:
-    """Uniform samples inside two (near-touching) discs, round-robin arrival."""
-    if len(centers) != 2 or len(radii) != 2:
-        raise ValueError("two centers and two radii required")
+def gen_two_circles(n_per_class: int = 250, seed: int = 0) -> list[LabeledPoint]:
+    """Uniform samples inside the near-touching unit discs at (0, 0) and
+    (2.1, 0), round-robin arrival."""
     rng = np.random.default_rng(seed)
     per_class = []
-    for center, radius in zip(centers, radii):
-        r = radius * np.sqrt(rng.random(n_per_class))
+    for center in ((0.0, 0.0), (2.1, 0.0)):
+        r = np.sqrt(rng.random(n_per_class))
         theta = 2.0 * math.pi * rng.random(n_per_class)
         per_class.append(np.column_stack([
             center[0] + r * np.cos(theta),

@@ -140,9 +140,7 @@ class SpcModel:
         # one row per slot in each table, and a view of each column
         self._ints = np.zeros((cap, 3), dtype=np.int64)  # [id, age, weight age]
         self._floats = np.zeros((cap, 1 + 2 * dim))  # [weight acc | mean | mean acc]
-        self._ids, self._age, self._weight_age = self._ints.T
-        self._weight_acc, self._mu, self._mean_acc = (
-            self._floats[:, 0], self._floats[:, 1:1 + dim], self._floats[:, 1 + dim:])
+        self._views(dim)
         # upper triangle only: on and below the diagonal stays inf through _drop's shifts
         self._dist = np.full((cap, cap), math.inf)
         self._sigmas: list[fusion.Spread] = []  # per slot
@@ -151,6 +149,17 @@ class SpcModel:
         # slots: [..., 0, j, k] is slot k's (for both j), [..., 1, j, :] slot p's
         closed_form = 0 < dim <= linalg.CLOSED_FORM_MAX_DIM
         self._chol = np.zeros((dim, dim, 2, 2, cap)) if closed_form else None
+
+    def _views(self, dim: int) -> None:
+        """The column views of the two tables, made with them and again on restore."""
+        self._ids, self._age, self._weight_age = self._ints.T
+        self._weight_acc, self._mu, self._mean_acc = (
+            self._floats[:, 0], self._floats[:, 1:1 + dim], self._floats[:, 1 + dim:])
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a deep copy or an unpickled model: its views alias its own tables."""
+        self.__dict__.update(state)
+        self._views(self.dim or 0)
 
     def __len__(self) -> int:
         return self._n

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from spclust import cli
 from spclust.clustering import assign_with_distances, get_clustering
 from spclust.cli import main
-from spclust.datasets import SOURCES, StreamSpec, build_stream
+from spclust.datasets import ORDER_MODES, SOURCES, StreamSpec, build_stream
 from spclust.engine import SpcModel, SpcParams
 from spclust.fusion import DenseSpread, LowRankSpread, unit
 
@@ -347,6 +347,29 @@ class TestSweep:
         assert capsys.readouterr().err == run_err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, good, bad", [("source", "two-circles", "bogus"),
+                                                ("source", "two-circles", "csv"),
+                                                ("order", "as-is", "sideways")])
+    def test_stream_setting_fails_before_any_run(self, tmp_path, capsys, key, good, bad):
+        # a config file or --sweep bypasses the flag's choices; the bad stream
+        # setting is refused, with the single run's error line, before any
+        # stream is built or directory made
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={bad}\n")
+        assert run_cli("run", "--config", cfg, "--output-dir", tmp_path / "r") == 2
+        run_err = capsys.readouterr().err
+        assert run_err.startswith("error: ") and run_err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+        rc = run_cli("sweep", "--n-per-class", "20", "--output-dir", tmp_path / "o",
+                     f"--sweep={key}={good},{bad}")
+        assert rc == 2
+        assert capsys.readouterr().err == run_err
+        rc = run_cli("sweep", "--config", cfg, "--n-per-class", "20",
+                     "--output-dir", tmp_path / "o", "--sweep", "seed=1,2")
+        assert rc == 2
+        assert capsys.readouterr().err == run_err
+        assert not (tmp_path / "o").exists()
+
 
 class TestGuardRaises:
     """Each input guard of the runner, by its exact error line."""
@@ -361,10 +384,17 @@ class TestGuardRaises:
         assert run_cli("run", "--source", "csv", "--output-dir", tmp_path / "o") == 2
         assert capsys.readouterr().err == "error: csv source needs csv_path\n"
         assert not (tmp_path / "o").exists()
+        rc = run_cli("sweep", "--source", "csv", "--output-dir", tmp_path / "o",
+                     "--sweep", "seed=1,2")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: csv source needs csv_path\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spec, message", [
         ("n4,6", "bad sweep spec 'n4,6'"),
         ("wibble=1,2", "unknown sweep key 'wibble'"),
+        ("source=two-circles,bogus", f"unknown source 'bogus', expected one of {tuple(SOURCES)}"),
+        ("order=as-is,sideways", f"unknown order 'sideways', expected one of {ORDER_MODES}"),
     ])
     def test_bad_sweep_spec(self, tmp_path, capsys, spec, message):
         rc = run_cli("sweep", "--source", "two-circles", "--output-dir", tmp_path / "o",
@@ -593,8 +623,8 @@ def _reference_snapshot(path, model):
 
 def _reference_assignments(path, points, pred):
     lines = ["t,label,cluster"]
-    for p, c in zip(points, pred):
-        lines.append(f"{p.t},{p.label},{c}")
+    for t, (p, c) in enumerate(zip(points, pred)):
+        lines.append(f"{t},{p.label},{c}")
     path.write_text("\n".join(lines) + "\n")
 
 

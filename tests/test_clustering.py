@@ -7,6 +7,7 @@ import pytest
 
 from spclust import clustering, fusion, linalg
 from spclust.clustering import (
+    ClusterLabels,
     assign_points,
     assign_with_distances,
     get_clustering,
@@ -653,3 +654,23 @@ class TestAssignKernel:
         finally:
             tracemalloc.stop()
         assert peak < len(model) * lattice.shape[0] * 8
+
+
+class TestGuardRaises:
+    """Each input guard of the offline step, by its exact message."""
+
+    def test_assign_on_an_empty_model(self):
+        with pytest.raises(ValueError) as err:
+            assign_with_distances(SpcModel(SpcParams()), ClusterLabels(labels={}),
+                                  np.zeros((1, 2)))
+        assert str(err.value) == "model holds no structures"
+
+    def test_labels_that_miss_a_structure(self):
+        model = SpcModel(SpcParams(max_structures=4))
+        model.update([0.0, 0.0])
+        model.update([5.0, 0.0])
+        labels = get_clustering(model)
+        model.update([0.0, 5.0])  # structure 2, which the labels predate
+        with pytest.raises(KeyError) as err:
+            assign_with_distances(model, labels, np.zeros((1, 2)))
+        assert err.value.args == ("labels missing structure 2",)

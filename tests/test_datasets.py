@@ -1,10 +1,15 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from spclust.datasets import (
     ORDER_MODES,
+    SINE_CLASSES,
+    TRIANGLE_VERTICES,
+    LabeledPoint,
     StreamSpec,
     build_stream,
     gen_gaussian_highdim,
@@ -20,8 +25,15 @@ from spclust.typicality import typicality
 from oracles import batch_footprint
 
 
-def arrival_indices(points):
-    return [p.t for p in points]
+def test_stream_settings():
+    # a point's arrival index is its list position, and each generator takes
+    # only the settings its callers pass
+    assert [f.name for f in fields(LabeledPoint)] == ["x", "label"]
+    settings = {gen: list(inspect.signature(gen).parameters) for gen in (
+        gen_sine_waves, gen_overlapping_triangle, gen_two_circles)}
+    assert settings == {gen_sine_waves: ["n_per_class", "noise_std", "seed"],
+                        gen_overlapping_triangle: ["n_per_class", "seed", "long_std"],
+                        gen_two_circles: ["n_per_class", "seed"]}
 
 
 class TestLoadCsv:
@@ -34,9 +46,8 @@ class TestLoadCsv:
         path = self.write(tmp_path, "1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n")
         pts = load_csv(path)
         assert len(pts) == 3
-        assert np.array_equal(pts[0].x, [1.0, 2.0])
+        assert [p.x.tolist() for p in pts] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         assert [p.label for p in pts] == [0, 1, 0]
-        assert arrival_indices(pts) == [0, 1, 2]
 
     def test_header_and_named_columns(self, tmp_path):
         path = self.write(tmp_path, "x,y,cls\n1,2,7\n3,4,8\n")
@@ -113,10 +124,6 @@ class TestGuardRaises:
 
     @pytest.mark.parametrize("generate, kwargs, message", [
         (gen_sine_waves, {"n_per_class": 0}, "n_per_class must be >= 1"),
-        (gen_overlapping_triangle, {"vertex_means": ((0.0, 0.0), (1.0, 0.0))},
-         "the triangle needs exactly 3 vertex means"),
-        (gen_two_circles, {"centers": ((0.0, 0.0),), "radii": (1.0,)},
-         "two centers and two radii required"),
     ])
     def test_generator_arguments(self, generate, kwargs, message):
         with pytest.raises(ValueError) as err:
@@ -133,9 +140,11 @@ class TestReorder:
         return _stamp(vectors, labels)
 
     def test_round_robin(self):
-        out = reorder(self.make(), "round-robin-by-class")
+        pts = self.make()
+        out = reorder(pts, "round-robin-by-class")
         assert [p.label for p in out] == [0, 1, 2, 0, 1, 2]
-        assert arrival_indices(out) == list(range(6))
+        # the same point objects, listed in the new order
+        assert all(p is pts[i] for p, i in zip(out, [0, 2, 4, 1, 3, 5], strict=True))
 
     def test_sequential(self):
         pts = reorder(self.make(), "shuffled", seed=3)
@@ -155,11 +164,12 @@ class TestReorder:
 
 
 class TestSineWaves:
-    def test_flat_noiseless_single_class(self):
-        pts = gen_sine_waves(n_per_class=50, classes=[(0.0, 1.0, 0.0, 2.0)],
-                             noise_std=0.0, seed=1)
-        ys = {p.x[1] for p in pts}
-        assert ys == {2.0}
+    def test_noiseless_points_lie_on_their_waves(self):
+        pts = gen_sine_waves(n_per_class=50, noise_std=0.0, seed=1)
+        assert len(pts) == 150
+        for p in pts:
+            amp, freq, phase, offset = SINE_CLASSES[p.label]
+            assert p.x[1] == amp * math.sin(freq * p.x[0] + phase) + offset
 
     def test_round_robin_arrival(self):
         pts = gen_sine_waves(n_per_class=5, seed=2)
@@ -187,11 +197,9 @@ class TestSineWaves:
 
 class TestOverlappingTriangle:
     def test_degenerate_covariances_pin_vertices(self):
-        cov = [1e-18 * np.eye(2)] * 3
-        pts = gen_overlapping_triangle(n_per_class=10, edge_covariances=cov, seed=5)
+        pts = gen_overlapping_triangle(n_per_class=10, seed=5, long_std=1e-9)
         for p in pts:
-            vertex = ((0.0, 0.0), (10.0, 0.0), (5.0, 8.0))[p.label]
-            assert np.allclose(p.x, vertex, atol=1e-6)
+            assert np.allclose(p.x, TRIANGLE_VERTICES[p.label], atol=1e-6)
 
     def test_sequential_classes_random_within(self):
         pts = gen_overlapping_triangle(n_per_class=30, seed=6)
@@ -280,12 +288,6 @@ class TestGaussianHighDim:
 
 
 class TestTwoCircles:
-    def test_zero_radius_point_masses(self):
-        pts = gen_two_circles(n_per_class=5, radii=(0.0, 0.0), seed=11)
-        for p in pts:
-            center = ((0.0, 0.0), (2.1, 0.0))[p.label]
-            assert np.allclose(p.x, center)
-
     def test_samples_stay_inside_discs(self):
         pts = gen_two_circles(n_per_class=200, seed=12)
         for p in pts:
@@ -324,9 +326,10 @@ class TestTwoCircles:
         path = tmp_path / "d.csv"
         path.write_text("x,cls\n" + "".join(f"{i}.5,{c}\n" for i, c in enumerate("abbaabbbaabb")))
         spec = StreamSpec(source="csv", params=(("path", str(path)),), order=order, seed=3)
-        via_spec = [(p.x.tolist(), p.label, p.t) for p in build_stream(spec)]
-        direct = [(p.x.tolist(), p.label, p.t) for p in load_csv(path, order=order, seed=3)]
-        as_is = [(p.x.tolist(), p.label, p.t) for p in load_csv(path)]
+        # by position: a point's arrival index is its place in the list
+        via_spec = [(p.x.tolist(), p.label) for p in build_stream(spec)]
+        direct = [(p.x.tolist(), p.label) for p in load_csv(path, order=order, seed=3)]
+        as_is = [(p.x.tolist(), p.label) for p in load_csv(path)]
         assert via_spec == direct
         assert (via_spec == as_is) == (order == "as-is")
 

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -946,3 +948,29 @@ class TestPruneBound:
         for k in rng.integers(0, 6, 200):
             model.update(pool[k] + 0.1 * rng.standard_normal(2))
         assert sum(pruned) > 0
+
+
+class TestCopies:
+    """A deep copy or an unpickled model is a model of its own: its column
+    views alias its own tables, so it goes on as the original does."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 40])
+    @pytest.mark.parametrize("restore", ["deepcopy", "pickle"])
+    def test_copy_continues_as_the_original(self, dim, restore):
+        rng = np.random.default_rng(dim)
+        centers = 4.0 * rng.standard_normal((3, dim))
+        points = centers[rng.integers(0, 3, 120)] + rng.standard_normal((120, dim))
+        model = SpcModel(SpcParams(max_structures=6, gamma=0.02, beta=0.05, w_min=0.05))
+        for x in points[:40]:
+            model.update(x)
+        twin = copy.deepcopy(model) if restore == "deepcopy" else pickle.loads(pickle.dumps(model))
+        for view in ("_ids", "_age", "_weight_age"):
+            assert np.shares_memory(getattr(twin, view), twin._ints)
+        for view in ("_weight_acc", "_mu", "_mean_acc"):
+            assert np.shares_memory(getattr(twin, view), twin._floats)
+        for x in points[40:]:
+            model.update(x)
+            twin.update(x)
+            assert twin.ids() == model.ids()
+            assert twin.distances().tobytes() == model.distances().tobytes()
+        assert model.diagnostics.merges > 0 and model.diagnostics.prunes > 0

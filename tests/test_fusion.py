@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import spclust.fusion as fusion
 from spclust import linalg
 from spclust.engine import SpcModel, SpcParams
-from spclust.errors import NotPositiveDefinite
+from spclust.errors import DimensionMismatch, NotPositiveDefinite
 from spclust.fusion import (
     LowRankSpread,
     covariance_union,
@@ -45,8 +45,23 @@ class TestPadCovariance:
             assert is_psd(out - sigma, 1e-12)
             assert np.allclose(out, out.T)
 
+    @pytest.mark.parametrize("sigma, mu, candidate", [
+        (np.eye(2), np.zeros(2), np.zeros(3)),
+        (np.eye(3), np.zeros(2), np.zeros(2)),
+    ])
+    def test_mismatched_shapes(self, sigma, mu, candidate):
+        with pytest.raises(DimensionMismatch) as err:
+            pad_covariance(sigma, mu, candidate)
+        assert str(err.value) == (f"incompatible shapes {sigma.shape}, {mu.shape}, "
+                                  f"{candidate.shape}")
+
 
 class TestCovarianceUnion:
+    def test_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatch) as err:
+            covariance_union(np.eye(2), np.eye(3))
+        assert str(err.value) == "incompatible shapes (2, 2) and (3, 3)"
+
     def test_equal_inputs_fixed_point(self):
         rng = np.random.default_rng(5)
         for dim in (1, 2, 5):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spclust.errors import NotPositiveDefinite
+from spclust.errors import DimensionMismatch, NotPositiveDefinite
 from spclust.typicality import (
     NLT_CEILING,
     Structure,
@@ -109,6 +109,12 @@ class TestTypicality:
     def test_propagates_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             typicality(np.ones(2), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.5)
+
+    def test_spread_of_the_wrong_size(self):
+        # the point and the mean agree, the spread does not
+        with pytest.raises(DimensionMismatch) as err:
+            typicality(np.ones(2), np.zeros(2), np.eye(3), 1.5)
+        assert str(err.value) == "incompatible shapes (3, 3) and (2,)"
 
 
 class TestNlt:
