@@ -191,6 +191,8 @@ def gen_overlapping_triangle(n_per_class: int = 300, seed: int = 0,
     clusters. Classes arrive sequentially; points within a class arrive
     in random order.
     """
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
     means = [np.asarray(v, dtype=float) for v in TRIANGLE_VERTICES]
     edge_covariances = []
     long_std = np.float64(long_std)  # ** as a float's (libm pow), but inf on overflow
@@ -262,15 +264,15 @@ def gen_gaussian_highdim(n_clusters: int = 16, dim: int = 1024, n_points: int = 
 def gen_two_circles(n_per_class: int = 250, seed: int = 0) -> list[LabeledPoint]:
     """Uniform samples inside the near-touching unit discs at (0, 0) and
     (2.1, 0), round-robin arrival."""
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     per_class = []
     for center in ((0.0, 0.0), (2.1, 0.0)):
         r = np.sqrt(rng.random(n_per_class))
         theta = 2.0 * math.pi * rng.random(n_per_class)
-        per_class.append(np.column_stack([
-            center[0] + r * np.cos(theta),
-            center[1] + r * np.sin(theta),
-        ]))
+        per_class.append(np.column_stack([center[0] + r * np.cos(theta),
+                                          center[1] + r * np.sin(theta)]))
     # round-robin: point i of class 0, then point i of class 1
     return _stamp(np.stack(per_class, axis=1).reshape(-1, 2), [0, 1] * n_per_class)
 

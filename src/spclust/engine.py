@@ -20,22 +20,22 @@ union fails (fusion.merge, which also decides the form a spread is
 stored in). So every spread dominates the identity and has a Cholesky
 factor; a merge that raises does so before it changes anything.
 
-The store keeps N + 1 slots, each structure one row of two tables: an
-int64 table of [id, age, weight age] and a float table of [weight
-accumulator | mean | mean accumulator] (weights are derived when read),
-plus a dense pairwise distance matrix and per slot its spread (a
-fusion.Spread). Slots stay in ascending-id order: new structures
-(singletons and merge results) take the next id and append a row to each
-table; removals shift the later rows down in place. numpy's first-minimum
-rule is the tie-break everywhere: the closest pair is the least
-(distance, smaller id, larger id); a pruned structure goes to the lowest
-id among equally typical targets; prune candidates run in (weight, id)
-order, each as one row against the whole store the previous one left,
+The store keeps N + 1 slots, each structure one row of two tables: an int64
+table of [id, age, weight age] and a float table of [weight accumulator |
+mean | mean accumulator | up to d = 3 the spread's lower Cholesky factor]
+(weights are derived when read), plus a dense pairwise distance matrix and
+per slot its spread (a fusion.Spread). Slots stay in ascending-id order:
+new structures (singletons and merge results) take the next id and append a
+row to each table; removals shift the later rows down in place. numpy's
+first-minimum rule is the tie-break everywhere: the closest pair is the
+least (distance, smaller id, larger id); a pruned structure goes to the
+lowest id among equally typical targets; prune candidates run in (weight,
+id) order, each as one row against the whole store the previous one left,
 the candidates still pending (itself included) masked as infinitely far.
 
 Each slot's distances to the earlier slots are computed once: from d = 4
 when it is filled, by each spread's own norm_sq; up to d = 3 with the next
-slot's, in one call of linalg.solve_norm_sq's closed form over the stacked
+slot's, in one call of linalg.solve_norm_sq's closed form over the stored
 factors, bit for bit what structure_distance computes pair by pair. A
 singleton's column also gives the new point's typicality in every
 structure for the weight update. The closest-pair search and the reads
@@ -139,22 +139,25 @@ class SpcModel:
         cap = self.params.max_structures + 1
         # one row per slot in each table, and a view of each column
         self._ints = np.zeros((cap, 3), dtype=np.int64)  # [id, age, weight age]
-        self._floats = np.zeros((cap, 1 + 2 * dim))  # [weight acc | mean | mean acc]
+        chol = dim * dim if dim <= linalg.CLOSED_FORM_MAX_DIM else 0  # up to d = 3, row by row
+        self._floats = np.zeros((cap, 1 + 2 * dim + chol))  # [weight acc | mean | mean acc | chol]
         self._views(dim)
         # upper triangle only: on and below the diagonal stays inf through _drop's shifts
         self._dist = np.full((cap, cap), math.inf)
         self._sigmas: list[fusion.Spread] = []  # per slot
         self._n = self._done = 0  # the slots from _done on wait for their distance columns
-        # up to d = 3 the kernel's factors of pairs (k, p), p the j-th of two waiting
-        # slots: [..., 0, j, k] is slot k's (for both j), [..., 1, j, :] slot p's
-        closed_form = 0 < dim <= linalg.CLOSED_FORM_MAX_DIM
-        self._chol = np.zeros((dim, dim, 2, 2, cap)) if closed_form else None
 
     def _views(self, dim: int) -> None:
-        """The column views of the two tables, made with them and again on restore."""
+        """The column views of the two tables; up to d = 3 _chol[:, :, k] is slot k's factor."""
+        f, w = self._floats, 1 + 2 * dim
         self._ids, self._age, self._weight_age = self._ints.T
-        self._weight_acc, self._mu, self._mean_acc = (
-            self._floats[:, 0], self._floats[:, 1:1 + dim], self._floats[:, 1 + dim:])
+        self._weight_acc, self._mu, self._mean_acc = f[:, 0], f[:, 1:1 + dim], f[:, 1 + dim:w]
+        self._chol = f[:, w:].reshape(-1, dim, dim).transpose(1, 2, 0) if f.shape[1] > w else None
+
+    def __getstate__(self) -> dict:
+        """The state without the column views: a pickle or deep copy holds each table once."""
+        views = ("_ids", "_age", "_weight_age", "_weight_acc", "_mu", "_mean_acc", "_chol")
+        return {k: v for k, v in self.__dict__.items() if k not in views}
 
     def __setstate__(self, state: dict) -> None:
         """Restore a deep copy or an unpickled model: its views alias its own tables."""
@@ -277,7 +280,7 @@ class SpcModel:
         self._ints[s] = self._next_id, age, weight_age
         self._weight_acc[s], self._mu[s], self._mean_acc[s] = weight_acc, mu, mean_acc
         if self._chol is not None:
-            self._chol[:, :, 0, :, s] = sigma.factor()[..., None]
+            self._chol[:, :, s] = sigma.factor()
         self._next_id += 1
         self._n = s + 1
 
@@ -290,8 +293,6 @@ class SpcModel:
             if k < n:  # the last slot moves no row
                 self._ints[k:n] = self._ints[k + 1:n + 1]
                 self._floats[k:n] = self._floats[k + 1:n + 1]
-                if self._chol is not None:  # the live half: _columns refills [..., 1, :, :]
-                    self._chol[:, :, 0, :, k:n] = self._chol[:, :, 0, :, k + 1:n + 1]
                 # rows, then columns: on or below the diagonal, inf only receives inf
                 self._dist[k:n] = self._dist[k + 1:n + 1]
                 self._dist[:n, k:n] = self._dist[:n, k + 1:n + 1]
@@ -305,8 +306,9 @@ class SpcModel:
             hi = min(self._n, lo + (2 if self._chol is not None else 1))
             if self._chol is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # update's rule, for reads too
-                    chols = self._chol[..., :hi - lo, :hi - 1]
-                    chols[:, :, 1] = self._chol[:, :, 0, 0, lo:hi, None]
+                    chols = np.empty((self.dim, self.dim, 2, hi - lo, hi - 1))  # pairs (k, lo + j)
+                    chols[:, :, 0] = self._chol[:, :, None, :hi - 1]  # [..., 0, j, k]: slot k's
+                    chols[:, :, 1] = self._chol[:, :, lo:hi, None]  # [..., 1, j, k]: slot lo + j's
                     delta = self._mu[lo:hi].T[..., None] - self._mu[:hi - 1].T[:, None]
                     dsq = linalg.solve_norm_sq(chols, delta[:, None])
             else:  # only update and merge_structures, which ignore overflow, get here
@@ -325,7 +327,7 @@ class SpcModel:
         """Squared Mahalanobis distance of each point under slot k's spread, inf
         where the offset overflows; up to d = 3 the points come as a (d, n) array."""
         if self._chol is not None:
-            dsq = linalg.solve_norm_sq(self._chol[:, :, 0, 0, k], points - self._mu[k, :, None])
+            dsq = linalg.solve_norm_sq(self._chol[:, :, k], points - self._mu[k, :, None])
         else:
             dsq = fusion.norm_sq(self._sigmas[k], points - self._mu[k])
         dsq[np.isnan(dsq)] = math.inf
@@ -361,7 +363,7 @@ class SpcModel:
             cand, n = int(pending[0]), self._n
             deltas = self._mu[cand] - self._mu[:n]  # cand's mean under every slot's spread
             dsq = (fusion.norm_sq_rows(self._sigmas[:n], deltas) if self._chol is None
-                   else linalg.solve_norm_sq(self._chol[:, :, 0, 0, :n], deltas.T))
+                   else linalg.solve_norm_sq(self._chol[:, :, :n], deltas.T))
             nlt = _nlt_of_dsq(dsq, self.params.m)
             nlt[pending] = math.inf
             best = int(np.argmin(nlt))  # the first minimum: the lowest id

@@ -111,8 +111,9 @@ def replay(points, params: SpcParams, merges=(), reads: bool = False):
     update and every merge, and check_complete checks that it left the
     distance matrix complete. Without, the model itself is never read: its
     state is read from a deep copy, so any distance column left waiting
-    stays waiting in the replayed model. The copy is only read: its column
-    views (_ids, _mu, ...) no longer alias the tables, so it cannot update.
+    stays waiting in the replayed model. The copy is a model of its own
+    (SpcModel.__setstate__ remakes its column views over its own tables):
+    the reads complete its distance columns, never the replayed model's.
     """
     model = SpcModel(params)
     turn = itertools.count()

@@ -124,6 +124,10 @@ class TestGuardRaises:
 
     @pytest.mark.parametrize("generate, kwargs, message", [
         (gen_sine_waves, {"n_per_class": 0}, "n_per_class must be >= 1"),
+        (gen_two_circles, {"n_per_class": 0}, "n_per_class must be >= 1"),
+        (gen_two_circles, {"n_per_class": -1}, "n_per_class must be >= 1"),
+        (gen_overlapping_triangle, {"n_per_class": 0}, "n_per_class must be >= 1"),
+        (gen_overlapping_triangle, {"n_per_class": -1}, "n_per_class must be >= 1"),
     ])
     def test_generator_arguments(self, generate, kwargs, message):
         with pytest.raises(ValueError) as err:

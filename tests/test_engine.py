@@ -335,20 +335,22 @@ class TestRowAlignment:
     @pytest.mark.parametrize("gamma", [0.0, 0.2])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 40])
     def test_store_after_every_removal(self, dim, gamma):
-        # a removal shifts the distance matrix's rows and its columns, and up
-        # to d = 3 the live half of the factor stack, with the two tables
+        # a removal shifts the distance matrix's rows and its columns with the
+        # two tables, and up to d = 3 the float rows carry each slot's factor
         for model in prune_heavy_updates(dim, gamma):
             n = len(model)
             assert np.isinf(model._dist[np.tril_indices_from(model._dist)]).all()
             assert np.all(np.diff(model.ids()) > 0)
             factors = model.factors()
             expected = pairwise_structure_distances(factors, model.params.m)
-            if model._chol is not None:
-                live = np.stack([chol for _, chol in factors], -1)[:, :, None]
-                assert np.array_equal(model._chol[:, :, 0, :, :n],
-                                      np.broadcast_to(live, model._chol[:, :, 0, :, :n].shape))
+            if dim <= 3:
+                live = np.stack([chol for _, chol in factors], -1)
+                assert np.array_equal(model._chol[..., :n], live)
+                assert np.shares_memory(model._chol, model._floats)
+                assert model._floats.shape[1] == 1 + 2 * dim + dim * dim
                 assert np.array_equal(model.distances(), expected)
             else:
+                assert model._floats.shape[1] == 1 + 2 * dim and model._chol is None
                 np.testing.assert_allclose(model.distances(), expected, rtol=1e-12, atol=0.0)
 
 
@@ -968,9 +970,26 @@ class TestCopies:
             assert np.shares_memory(getattr(twin, view), twin._ints)
         for view in ("_weight_acc", "_mu", "_mean_acc"):
             assert np.shares_memory(getattr(twin, view), twin._floats)
+        if dim <= 3:
+            assert np.shares_memory(twin._chol, twin._floats)
+        else:
+            assert twin._chol is None
         for x in points[40:]:
             model.update(x)
             twin.update(x)
             assert twin.ids() == model.ids()
             assert twin.distances().tobytes() == model.distances().tobytes()
         assert model.diagnostics.merges > 0 and model.diagnostics.prunes > 0
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_pickle_leaves_out_the_column_views(self, dim):
+        rng = np.random.default_rng(dim)
+        model = SpcModel(SpcParams(max_structures=30))
+        for x in rng.standard_normal((100, dim)):
+            model.update(x)
+        views = {"_ids", "_age", "_weight_age", "_weight_acc", "_mu", "_mean_acc", "_chol"}
+        state = model.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2]
+        assert not views & state.keys() and {"_ints", "_floats", "_dist"} <= state.keys()
+        # the views' bytes are what a pickle carried beside the tables they view
+        view_bytes = sum(getattr(model, v).nbytes for v in views if getattr(model, v) is not None)
+        assert len(pickle.dumps(model)) + view_bytes < len(pickle.dumps(vars(model)))
