@@ -119,7 +119,7 @@ def _checked(config: dict) -> dict:
     for name in config["outputs"].split(","):
         if name.strip() not in _OUTPUTS:
             raise ValueError(f"unknown output {name.strip()!r}, expected {','.join(_OUTPUTS)}")
-    for key, lo in {"grid_resolution": 1, "n": 2, "n_per_class": 1, "n_points": 1,
+    for key, lo in {"grid_resolution": 1, "n": 2, "n_per_class": 1, "n_points": 1, "seed": 0,
                     "noise_std": 0, "cluster_std": 0, "long_std": 0, "separation": 0}.items():
         if config[key] is not None and not config[key] >= lo:
             raise ValueError(f"{key} must be >= {lo}, got {config[key]}")

@@ -89,8 +89,8 @@ class SpcParams:
     min_pts: int = 2
 
     def __post_init__(self):
-        if self.max_structures < 2:
-            raise ValueError("max_structures must be >= 2")
+        if not (isinstance(self.max_structures, (int, np.integer)) and self.max_structures >= 2):
+            raise ValueError(f"max_structures must be an integer >= 2, got {self.max_structures}")
         if not (self.gamma >= 0.0 and self.beta >= 0.0):
             raise ValueError("decay rates must be nonnegative")
         _check_fuzzifier(self.m)
@@ -100,8 +100,8 @@ class SpcParams:
             raise ValueError("w_min must lie in (0, 1)")
         if not self.nlt_max > 0.0:
             raise ValueError("nlt_max must be positive")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+        if not (isinstance(self.min_pts, (int, np.integer)) and self.min_pts >= 1):
+            raise ValueError(f"min_pts must be an integer >= 1, got {self.min_pts}")
 
 
 @dataclass
@@ -160,9 +160,14 @@ class SpcModel:
         return {k: v for k, v in self.__dict__.items() if k not in views}
 
     def __setstate__(self, state: dict) -> None:
-        """Restore a deep copy or an unpickled model: its views alias its own tables."""
+        """Restore a deep copy or an unpickled model: its views alias its own tables, its
+        unit singletons (age 1) share fusion.unit(dim) and its dense factors are read-only."""
         self.__dict__.update(state)
         self._views(self.dim or 0)
+        ages = self._age[:self._n].tolist()
+        self._sigmas = [fusion.unit(self.dim) if a == 1 else s for s, a in zip(self._sigmas, ages)]
+        for chol in (s.chol for s in self._sigmas if isinstance(s, fusion.DenseSpread)):
+            chol.setflags(write=False)
 
     def __len__(self) -> int:
         return self._n

@@ -20,6 +20,7 @@ directions where the padded spreads differ from the identity. When the
 union fails, the damped scatters are pooled.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -138,27 +139,19 @@ class LowRankSpread(NamedTuple):
 
 Spread = DenseSpread | LowRankSpread
 
-_UNITS: dict[tuple[int, bool], Spread] = {}
 
-
+@functools.cache
 def unit(dim: int) -> Spread:
-    """The identity spread of unit singletons, in the form for dim.
-
-    One read-only object per form and dim, so `spread is unit(dim)` tells
-    a unit singleton: nothing mutates a spread in place.
-    """
-    low_rank = dim >= LOW_RANK_MIN_DIM
-    cached = _UNITS.get((dim, low_rank))
-    if cached is None:
-        if low_rank:
-            cached = LowRankSpread(np.empty((dim, 0)), np.empty(0))
-        else:
-            eye = np.eye(dim)
-            cached = DenseSpread(eye, eye)
-        for arr in cached:
-            arr.setflags(write=False)
-        _UNITS[dim, low_rank] = cached
-    return cached
+    """The identity spread of unit singletons in the form for dim, one read-only
+    object per dim: `spread is unit(dim)` tells a unit singleton."""
+    if dim >= LOW_RANK_MIN_DIM:
+        spread = LowRankSpread(np.empty((dim, 0)), np.empty(0))
+    else:
+        eye = np.eye(dim)
+        spread = DenseSpread(eye, eye)
+    for arr in spread:
+        arr.setflags(write=False)
+    return spread
 
 
 def norm_sq(spread: Spread, deltas: np.ndarray) -> np.ndarray:

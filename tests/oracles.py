@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from spclust import fusion, linalg
+from spclust import linalg
 from spclust.clustering import pairwise_structure_distances
 from spclust.engine import SpcModel, SpcParams, decay_norms
 from spclust.typicality import Structure, _check_fuzzifier, _typicality_of_dsq
@@ -129,8 +129,7 @@ def replay(points, params: SpcParams, merges=(), reads: bool = False):
         if t in merges and len(model) > 1:
             model.merge_structures(*model.ids()[:2])
             read()
-        unit = fusion.unit(model.dim)  # the copy's unit singletons share it too
-        state = model if reads else copy.deepcopy(model, {id(unit): unit})
+        state = model if reads else copy.deepcopy(model)
         spreads = state.spreads()
         yield model, (state.ids(), state.distances(), np.array([w for *_, w, _ in spreads]),
                       [age for *_, age in spreads])

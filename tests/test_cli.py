@@ -76,6 +76,8 @@ _SETTING_ERRORS = {
         "edge covariances must be positive-definite, got long_std=1e-170",
     ("--source", "overlapping-triangle", "--long-std", "1e-300"):
         "edge covariances must be positive-definite, got long_std=1e-300",
+    # a negative seed, refused by its flag before numpy's generator sees it
+    ("--source", "two-circles", "--seed", "-1"): "seed must be >= 0, got -1",
 }
 
 

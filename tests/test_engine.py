@@ -55,6 +55,19 @@ class TestParams:
         with pytest.raises(ValueError):
             SpcParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"max_structures": 30.0}, {"min_pts": 2.5}])
+    def test_rejects_non_integer_sizes(self, kwargs):
+        [(field, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{field} must be an integer .*, got {value}$"):
+            SpcParams(**kwargs)
+
+    def test_accepts_numpy_integer_sizes(self):
+        params = SpcParams(max_structures=np.int64(5), min_pts=np.int64(5))
+        model = SpcModel(params)
+        for x in np.random.default_rng(0).standard_normal((20, 2)):
+            model.update(x)
+        assert len(model) == 5
+
 
 class TestBurnIn:
     def test_first_points_become_untouched_singletons(self):
@@ -637,6 +650,7 @@ class TestLowRankStore:
         assert isinstance(fusion.unit(dim), fusion.DenseSpread)
         dense = run()
         monkeypatch.setattr(fusion, "LOW_RANK_MIN_DIM", 4)
+        fusion.unit.cache_clear()
         assert isinstance(fusion.unit(dim), fusion.LowRankSpread)
         assert fusion.unit(dim) is fusion.unit(dim)
         low = run()
@@ -652,6 +666,7 @@ class TestLowRankStore:
             assert a.weight == pytest.approx(b.weight, rel=1e-12)
         assert np.allclose(low.distances(), dense.distances(), rtol=1e-12, atol=1e-12)
         monkeypatch.undo()
+        fusion.unit.cache_clear()
         assert isinstance(fusion.unit(dim), fusion.DenseSpread)
 
     def test_repeated_stream_is_bitwise_identical(self):
@@ -974,6 +989,10 @@ class TestCopies:
             assert np.shares_memory(twin._chol, twin._floats)
         else:
             assert twin._chol is None
+        # the copy's unit singletons share the original's spread, and its factors stay read-only
+        for _, spread, _, age in twin.spreads():
+            assert (spread is fusion.unit(dim)) == (age == 1)
+        assert not any(arr.flags.writeable for pair in twin.factors() for arr in pair)
         for x in points[40:]:
             model.update(x)
             twin.update(x)
